@@ -149,22 +149,61 @@ where
     match strategy {
         MergeStrategy::Empty => GapBitmap::empty(universe),
         MergeStrategy::Bitset => {
-            let (lo, hi) = span.expect("bitset strategy requires a span");
-            let base = lo & !63;
-            let words = ((hi - base) / 64 + 1) as usize;
-            let mut acc = vec![0u64; words];
+            let mut acc = SpanBitset::new(span.expect("bitset strategy requires a span"));
             for input in inputs {
-                for p in input {
-                    debug_assert!(
-                        (lo..=hi).contains(&p),
-                        "element {p} outside declared span [{lo}, {hi}]"
-                    );
-                    acc[((p - base) / 64) as usize] |= 1u64 << ((p - base) % 64);
-                }
+                acc.extend(input);
             }
-            GapBitmap::from_words_span(&acc, base, universe)
+            acc.finish(universe)
         }
         _ => GapBitmap::from_sorted_iter_sized(merge_disjoint(inputs), universe, total),
+    }
+}
+
+/// The accumulator of the [`MergeStrategy::Bitset`] path: an LSB-first
+/// word array over a cover's word-aligned position span. Members are
+/// OR-ed in one at a time, in any order, and the union is re-encoded
+/// once by [`Self::finish`] ([`GapBitmap::from_words_span`]). Stored
+/// streams feed it batch-decoded slices; generic streams feed it through
+/// [`merge_with_strategy`].
+#[derive(Debug, Clone)]
+pub struct SpanBitset {
+    base: u64,
+    lo: u64,
+    hi: u64,
+    words: Vec<u64>,
+}
+
+impl SpanBitset {
+    /// An empty accumulator for elements in the inclusive span `(lo, hi)`.
+    pub fn new((lo, hi): (u64, u64)) -> Self {
+        assert!(lo <= hi, "empty span [{lo}, {hi}]");
+        let base = lo & !63;
+        SpanBitset {
+            base,
+            lo,
+            hi,
+            words: vec![0u64; ((hi - base) / 64 + 1) as usize],
+        }
+    }
+
+    /// Sets every element of `positions` (each inside the span).
+    #[inline]
+    pub fn extend<I: IntoIterator<Item = u64>>(&mut self, positions: I) {
+        for p in positions {
+            debug_assert!(
+                (self.lo..=self.hi).contains(&p),
+                "element {p} outside declared span [{}, {}]",
+                self.lo,
+                self.hi
+            );
+            let off = p - self.base;
+            self.words[(off / 64) as usize] |= 1u64 << (off % 64);
+        }
+    }
+
+    /// Re-encodes the accumulated union as a bitmap over `universe`.
+    pub fn finish(&self, universe: u64) -> GapBitmap {
+        GapBitmap::from_words_span(&self.words, self.base, universe)
     }
 }
 

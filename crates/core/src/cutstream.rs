@@ -21,6 +21,7 @@
 //! samples with the payload so the returned bitmap supports galloping set
 //! operations without a decode pass).
 
+use psi_bits::merge::{self, MergeStrategy, SpanBitset};
 use psi_bits::skip::{self, SkipDirectory, SkipEntry};
 use psi_bits::{codes, BitBuf, GapBitmap, GapDecoder, SKIP_ENTRY_BITS, SKIP_SAMPLE};
 use psi_io::{Disk, DiskReader, ExtentId, IoSession};
@@ -409,6 +410,78 @@ impl CutStream {
         disk.free(self.dir_ext);
         self.slots.clear();
         self.dead_bits = 0;
+    }
+}
+
+/// Merges the bitmaps stored in a cover's slots — `(cut, slot index)`
+/// pairs over `disk`, empty slots allowed — into one bitmap over
+/// `universe`, charging `io`: the cover merge of both cut-stream
+/// families (`Engine`, `UniformTreeIndex`).
+///
+/// The execution is planned from slot metadata alone (counts and
+/// first/last positions, known before any stream bit is read):
+/// * one non-empty slot is already the answer in the output encoding: a
+///   verbatim word copy, with the persisted skip directory lifted along
+///   once the result is large enough to gallop over;
+/// * dense covers ([`MergeStrategy::Bitset`], the complement trick's
+///   usual shape) lift each slot in turn — one verbatim copy, so one pin
+///   at a time on a pooled disk — batch-decode it with the word kernel
+///   ([`GapBitmap::decode_all`]) into one reused buffer, OR the positions
+///   into a [`SpanBitset`] and re-encode once;
+/// * sparse covers ([`MergeStrategy::Linear`], [`MergeStrategy::Heap`])
+///   stream through one decoder per slot, in bounded memory.
+///
+/// Both paths read every payload bit of every slot exactly once, so the
+/// blocks and bits charged are identical whatever the plan. `strategy`
+/// forces the plan of a multi-slot cover (the forced-[`MergeStrategy::Heap`]
+/// replay is the differential oracle of the other arms); `None` lets
+/// [`merge::plan`] pick.
+pub fn merge_slots(
+    disk: &Disk,
+    cover: &[(&CutStream, usize)],
+    io: &IoSession,
+    universe: u64,
+    strategy: Option<MergeStrategy>,
+) -> GapBitmap {
+    // Empty slots contribute nothing — and would poison the span.
+    let cover: Vec<(&CutStream, usize)> = cover
+        .iter()
+        .copied()
+        .filter(|&(cut, idx)| cut.slot(idx).count > 0)
+        .collect();
+    match cover[..] {
+        [] => return GapBitmap::empty(universe),
+        [(cut, idx)] => return cut.copy_bitmap_auto(disk, idx, io, universe),
+        _ => {}
+    }
+    let (total, span) = merge::cover_stats(cover.iter().map(|&(cut, idx)| {
+        let s = cut.slot(idx);
+        (
+            s.count,
+            s.first_pos.expect("non-empty slot"),
+            s.last_pos.expect("non-empty slot"),
+        )
+    }));
+    match strategy.unwrap_or_else(|| merge::plan(cover.len(), total, span)) {
+        MergeStrategy::Bitset => {
+            let mut acc = SpanBitset::new(span.expect("non-empty cover"));
+            let mut positions = Vec::new();
+            for &(cut, idx) in &cover {
+                // The copy's reader (and its pin) is gone before the next
+                // slot is read.
+                cut.copy_bitmap(disk, idx, io, universe)
+                    .decode_all(&mut positions);
+                acc.extend(positions.iter().copied());
+            }
+            acc.finish(universe)
+        }
+        strategy => {
+            let decoders = cover
+                .iter()
+                .map(|&(cut, idx)| cut.decoder(disk, idx, io))
+                .collect();
+            merge::merge_with_strategy(decoders, universe, total, span, strategy)
+        }
     }
 }
 

@@ -31,10 +31,11 @@
 //! [`Engine::space_bits`].
 
 use psi_api::{check_range, RidSet, Symbol};
-use psi_bits::{merge, GapBitmap};
+use psi_bits::merge::{self, MergeStrategy};
+use psi_bits::GapBitmap;
 use psi_io::{cost, Disk, ExtentId, IoConfig, IoSession};
 
-use crate::cutstream::{CutStream, Slack};
+use crate::cutstream::{self, CutStream, Slack};
 use crate::remap::Remap;
 use crate::wbb::{NodeId, WbbTree};
 
@@ -336,6 +337,30 @@ impl Engine {
 
     /// Answers the alphabet range query (paper endpoints, inclusive).
     pub fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+        self.query_planned(lo, hi, io, None)
+    }
+
+    /// [`Self::query`] with every multi-slot cover merge forced to
+    /// `strategy` instead of the planner's pick — the differential
+    /// oracle: a forced [`MergeStrategy::Heap`] replay must return the
+    /// same rows and charge the same I/O as the planned query.
+    pub(crate) fn query_with_strategy(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        strategy: MergeStrategy,
+        io: &IoSession,
+    ) -> RidSet {
+        self.query_planned(lo, hi, io, Some(strategy))
+    }
+
+    fn query_planned(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        io: &IoSession,
+        strategy: Option<MergeStrategy>,
+    ) -> RidSet {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
             return RidSet::from_positions(GapBitmap::empty(0));
@@ -352,11 +377,11 @@ impl Engine {
             // ranges and return the complement representation.
             let mut canonical = self.decompose(0, qs, io);
             canonical.extend(self.decompose(qe, self.n, io));
-            let positions = self.merge_canonical(&canonical, io);
+            let positions = self.merge_canonical(&canonical, io, strategy);
             RidSet::from_complement(positions)
         } else {
             let canonical = self.decompose(qs, qe, io);
-            let positions = self.merge_canonical(&canonical, io);
+            let positions = self.merge_canonical(&canonical, io, strategy);
             RidSet::from_positions(positions)
         }
     }
@@ -378,45 +403,24 @@ impl Engine {
     /// with all the nearest descendants that are in the materialized level
     /// immediately below").
     ///
-    /// The execution is planned from slot metadata alone — counts and
-    /// first/last positions, known before any stream bit is decoded:
-    /// a single-slot cover is a verbatim word copy (with the persisted
-    /// skip directory lifted alongside once the result is large enough to
-    /// gallop over); sparse multi-slot covers stream through the linear or
-    /// heap merge; dense covers (the complement trick's bread and butter)
-    /// accumulate into a word array and re-encode once
-    /// ([`merge::MergeStrategy::Bitset`]). Every strategy drains the same
-    /// decoders, so the blocks charged are identical by construction.
-    fn merge_canonical(&self, canonical: &[NodeId], io: &IoSession) -> GapBitmap {
+    /// The merge itself is [`cutstream::merge_slots`]: planned from slot
+    /// metadata, dense covers lifted slot by slot into the batch decode
+    /// kernel, sparse ones streamed; identical charges either way.
+    fn merge_canonical(
+        &self,
+        canonical: &[NodeId],
+        io: &IoSession,
+        strategy: Option<MergeStrategy>,
+    ) -> GapBitmap {
         let mut slots = Vec::new();
         for &v in canonical {
             self.collect_slots(v, &mut slots);
         }
-        // Empty slots contribute nothing — and would poison the span.
-        slots.retain(|&(cut, slot)| self.cuts[cut as usize].slot(slot as usize).count > 0);
-        match slots[..] {
-            [] => GapBitmap::empty(self.n),
-            [(cut, slot)] => {
-                self.cuts[cut as usize].copy_bitmap_auto(&self.disk, slot as usize, io, self.n)
-            }
-            _ => {
-                let (total, span) = merge::cover_stats(slots.iter().map(|&(cut, slot)| {
-                    let s = self.cuts[cut as usize].slot(slot as usize);
-                    (
-                        s.count,
-                        s.first_pos.expect("non-empty slot"),
-                        s.last_pos.expect("non-empty slot"),
-                    )
-                }));
-                let decoders: Vec<_> = slots
-                    .iter()
-                    .map(|&(cut, slot)| {
-                        self.cuts[cut as usize].decoder(&self.disk, slot as usize, io)
-                    })
-                    .collect();
-                merge::merge_adaptive(decoders, self.n, total, span)
-            }
-        }
+        let cover: Vec<_> = slots
+            .iter()
+            .map(|&(cut, slot)| (&self.cuts[cut as usize], slot as usize))
+            .collect();
+        cutstream::merge_slots(&self.disk, &cover, io, self.n, strategy)
     }
 
     /// Appends original character `ch` at position `n`, charging `io`
@@ -1116,9 +1120,29 @@ mod tests {
         );
     }
 
+    /// Re-hosts `engine` over a 16-frame buffer pool (far fewer frames
+    /// than payload blocks), the way an opened store wires it.
+    fn pooled_reopen(engine: &Engine) -> Engine {
+        use psi_io::{BufferPool, MemStore, StoredExtent};
+        use std::sync::Arc;
+        let mut meta = psi_store::MetaBuf::new();
+        engine.persist_meta(&mut meta);
+        let d = engine.disk();
+        let stored: Vec<StoredExtent> = (0..d.num_extents())
+            .map(|i| StoredExtent {
+                bit_len: d.extent_bits(ExtentId(i as u32)),
+                freed: d.is_freed(ExtentId(i as u32)),
+            })
+            .collect();
+        let store = Arc::new(MemStore::from_disk(d));
+        let pool = Arc::new(BufferPool::new(store, 16, d.block_bits()));
+        let disk = Disk::from_stored(*d.config(), &stored, pool);
+        let mut cursor = psi_store::MetaCursor::new(meta.bytes());
+        Engine::restore_meta(&mut cursor, disk).expect("pooled reopen")
+    }
+
     #[test]
     fn planner_branches_match_forced_heap_with_identical_io() {
-        use psi_bits::merge::MergeStrategy;
         let n = 40_000usize;
         let mut seen = std::collections::HashSet::new();
         // Dense covers (small alphabet) drive the bitset branch; sparse
@@ -1130,54 +1154,51 @@ mod tests {
         for (sigma, ranges) in cases {
             let symbols = psi_workloads::uniform(n, sigma, 33);
             let engine = Engine::build(&symbols, sigma, cfg(), DEFAULT_C, Slack::None);
+            let pooled = pooled_reopen(&engine);
             for &(lo, hi) in ranges {
-                let io = IoSession::new();
-                let got = engine.query(lo, hi, &io);
-                assert_eq!(got.to_vec(), naive_query(&symbols, lo, hi).to_vec());
-                // Replay the same canonical cover through the forced heap
-                // merge: identical output stream, identical blocks charged.
+                let want = naive_query(&symbols, lo, hi).to_vec();
+                // The plan this cover takes (slot metadata only, no I/O).
                 let (ilo, ihi) = engine.remap().map_range(lo, hi);
                 let (qs, qe) = engine.index_range(ilo, ihi);
-                let z = qe - qs;
-                let io_ref = IoSession::new();
-                let mut slots = if 2 * z > engine.n() {
-                    let mut s = engine.canonical_slots(0, qs, &io_ref);
-                    s.extend(engine.canonical_slots(qe, engine.n(), &io_ref));
+                let untracked = IoSession::untracked();
+                let mut slots = if 2 * (qe - qs) > engine.n() {
+                    let mut s = engine.canonical_slots(0, qs, &untracked);
+                    s.extend(engine.canonical_slots(qe, engine.n(), &untracked));
                     s
                 } else {
-                    engine.canonical_slots(qs, qe, &io_ref)
+                    engine.canonical_slots(qs, qe, &untracked)
                 };
                 slots.retain(|&(c, s)| engine.cuts[c as usize].slot(s as usize).count > 0);
-                if slots.len() < 2 {
-                    continue; // verbatim-copy path, covered elsewhere
-                }
-                let mut total = 0u64;
-                let (mut plo, mut phi) = (u64::MAX, 0u64);
-                for &(c, s) in &slots {
+                let (total, span) = merge::cover_stats(slots.iter().map(|&(c, s)| {
                     let slot = engine.cuts[c as usize].slot(s as usize);
-                    total += slot.count;
-                    plo = plo.min(slot.first_pos.unwrap());
-                    phi = phi.max(slot.last_pos.unwrap());
+                    (slot.count, slot.first_pos.unwrap(), slot.last_pos.unwrap())
+                }));
+                seen.insert(merge::plan(slots.len(), total, span));
+                // The RAM image and the pooled reopen each replay the
+                // query through the forced heap merge over streaming
+                // decoders: identical stream, identical blocks charged.
+                let mut charged = Vec::new();
+                for (label, e) in [("ram", &engine), ("pooled", &pooled)] {
+                    let io = IoSession::new();
+                    let got = e.query(lo, hi, &io);
+                    assert_eq!(got.to_vec(), want, "[{lo},{hi}] {label} rows");
+                    let io_ref = IoSession::new();
+                    let reference = e.query_with_strategy(lo, hi, MergeStrategy::Heap, &io_ref);
+                    assert_eq!(
+                        got.stored(),
+                        reference.stored(),
+                        "[{lo},{hi}] {label} planner output"
+                    );
+                    assert_eq!(
+                        io.stats(),
+                        io_ref.stats(),
+                        "[{lo},{hi}] {label}: planner must charge exactly the heap merge's I/O"
+                    );
+                    charged.push(io.stats());
                 }
-                seen.insert(merge::plan(slots.len(), total, Some((plo, phi))));
-                let decoders: Vec<_> = slots
-                    .iter()
-                    .map(|&(c, s)| {
-                        engine.cuts[c as usize].decoder(&engine.disk, s as usize, &io_ref)
-                    })
-                    .collect();
-                let reference = merge::merge_with_strategy(
-                    decoders,
-                    engine.n(),
-                    total,
-                    Some((plo, phi)),
-                    MergeStrategy::Heap,
-                );
-                assert_eq!(got.stored(), &reference, "[{lo},{hi}] planner output");
                 assert_eq!(
-                    io.stats(),
-                    io_ref.stats(),
-                    "[{lo},{hi}] planner must charge exactly the heap merge's I/O"
+                    charged[0], charged[1],
+                    "[{lo},{hi}] charges are backend-free"
                 );
             }
         }

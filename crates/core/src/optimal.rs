@@ -1,6 +1,7 @@
 //! The optimal static secondary index (Theorem 2).
 
 use psi_api::{HasDisk, RidSet, SecondaryIndex, Symbol};
+use psi_bits::merge::MergeStrategy;
 use psi_io::{Disk, IoConfig, IoSession};
 
 use crate::cutstream::Slack;
@@ -67,6 +68,19 @@ impl OptimalIndex {
     /// Number of materialized cuts (`O(lg lg n)`).
     pub fn num_cuts(&self) -> usize {
         self.engine.num_cuts()
+    }
+
+    /// [`SecondaryIndex::query`] with every multi-slot cover merge forced
+    /// to `strategy` — the differential oracle of the planned merge
+    /// (identical rows, identical I/O).
+    pub fn query_with_strategy(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        strategy: MergeStrategy,
+        io: &IoSession,
+    ) -> RidSet {
+        self.engine.query_with_strategy(lo, hi, strategy, io)
     }
 
     /// Engine counters (static builds never rebuild; exposed for symmetry).

@@ -15,10 +15,11 @@
 //! the weight-balanced structure of Theorem 2 fixes.
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_bits::{merge, GapBitmap};
+use psi_bits::merge::{self, MergeStrategy};
+use psi_bits::GapBitmap;
 use psi_io::{cost, Disk, IoConfig, IoSession};
 
-use crate::cutstream::{CutStream, Slack};
+use crate::cutstream::{self, CutStream, Slack};
 
 /// Theorem 1's complete-binary-tree index.
 #[derive(Debug)]
@@ -134,36 +135,67 @@ impl UniformTreeIndex {
         out
     }
 
-    /// Merges the cover's bitmaps into a compressed result. A one-subtree
-    /// cover is already stored in the output encoding, so it is returned
-    /// as a verbatim word copy instead of decode-merge-reencode; larger
-    /// covers go through the density-driven planner (slot counts and the
-    /// cover's position span pick linear/heap/bitset before any decode).
-    fn merge_cover(&self, cover: &[(usize, u64)], io: &IoSession) -> GapBitmap {
-        let cover: Vec<(usize, u64)> = cover
+    /// Merges the cover's bitmaps into a compressed result through
+    /// [`cutstream::merge_slots`] (a one-subtree cover is a verbatim word
+    /// copy; larger covers are planned from slot counts and the cover's
+    /// position span before any decode). `strategy` forces the plan of a
+    /// multi-slot cover.
+    fn merge_cover(
+        &self,
+        cover: &[(usize, u64)],
+        io: &IoSession,
+        strategy: Option<MergeStrategy>,
+    ) -> GapBitmap {
+        let cover: Vec<_> = cover
             .iter()
-            .copied()
-            .filter(|&(level, idx)| self.levels[level].slot(idx as usize).count > 0)
+            .map(|&(level, idx)| (&self.levels[level], idx as usize))
             .collect();
-        if cover.is_empty() {
-            return GapBitmap::empty(self.n);
+        cutstream::merge_slots(&self.disk, &cover, io, self.n, strategy)
+    }
+
+    /// [`SecondaryIndex::query`] with every multi-slot cover merge forced
+    /// to `strategy` — the differential oracle of the planned merge
+    /// (identical rows, identical I/O).
+    pub fn query_with_strategy(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        strategy: MergeStrategy,
+        io: &IoSession,
+    ) -> RidSet {
+        self.query_planned(lo, hi, io, Some(strategy))
+    }
+
+    fn query_planned(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        io: &IoSession,
+        strategy: Option<MergeStrategy>,
+    ) -> RidSet {
+        check_range(lo, hi, self.sigma);
+        if self.n == 0 {
+            return RidSet::from_positions(GapBitmap::empty(0));
         }
-        if let [(level, idx)] = cover[..] {
-            return self.levels[level].copy_bitmap_auto(&self.disk, idx as usize, io, self.n);
+        let z = self.cardinality(lo, hi);
+        if z == 0 {
+            return RidSet::from_positions(GapBitmap::empty(self.n));
         }
-        let (total, span) = merge::cover_stats(cover.iter().map(|&(level, idx)| {
-            let s = self.levels[level].slot(idx as usize);
-            (
-                s.count,
-                s.first_pos.expect("non-empty slot"),
-                s.last_pos.expect("non-empty slot"),
-            )
-        }));
-        let decoders: Vec<_> = cover
-            .iter()
-            .map(|&(level, idx)| self.levels[level].decoder(&self.disk, idx as usize, io))
-            .collect();
-        merge::merge_adaptive(decoders, self.n, total, span)
+        if 2 * z > self.n {
+            // §2.1: compute the two complementary queries and return their
+            // union as a complement.
+            let mut cover = Vec::new();
+            if lo > 0 {
+                cover.extend(self.canonical_cover(0, lo - 1));
+            }
+            if hi + 1 < self.sigma {
+                cover.extend(self.canonical_cover(hi + 1, self.sigma - 1));
+            }
+            RidSet::from_complement(self.merge_cover(&cover, io, strategy))
+        } else {
+            let cover = self.canonical_cover(lo, hi);
+            RidSet::from_positions(self.merge_cover(&cover, io, strategy))
+        }
     }
 }
 
@@ -196,29 +228,7 @@ impl SecondaryIndex for UniformTreeIndex {
     }
 
     fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-        check_range(lo, hi, self.sigma);
-        if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
-        }
-        let z = self.cardinality(lo, hi);
-        if z == 0 {
-            return RidSet::from_positions(GapBitmap::empty(self.n));
-        }
-        if 2 * z > self.n {
-            // §2.1: compute the two complementary queries and return their
-            // union as a complement.
-            let mut cover = Vec::new();
-            if lo > 0 {
-                cover.extend(self.canonical_cover(0, lo - 1));
-            }
-            if hi + 1 < self.sigma {
-                cover.extend(self.canonical_cover(hi + 1, self.sigma - 1));
-            }
-            RidSet::from_complement(self.merge_cover(&cover, io))
-        } else {
-            let cover = self.canonical_cover(lo, hi);
-            RidSet::from_positions(self.merge_cover(&cover, io))
-        }
+        self.query_planned(lo, hi, io, None)
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {

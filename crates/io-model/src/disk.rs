@@ -621,7 +621,12 @@ impl<'a> DiskReader<'a> {
         // real fetch — and a fetch without a charge would break the
         // cold-cache invariant "real reads == charged reads". An empty
         // window sends codecs down the cursor path, whose charges are
-        // identical to the peek/consume path by construction.
+        // identical to the peek/consume path by construction. That path
+        // is slow per code, so dense cover merges do not decode through
+        // a pooled reader at all: they lift each slot with a word copy
+        // (`read_bits(64)`, one pin at a time) and batch-decode the copy
+        // in memory. Sparse streaming merges and directory seeks still
+        // take the cursor path here.
         let off = (self.pos % 64) as u32;
         match self.words.get((self.pos / 64) as usize) {
             Some(&w) => (w << off, remaining.min(u64::from(64 - off)) as u32),
