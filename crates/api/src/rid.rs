@@ -6,7 +6,7 @@
 //! `K − 1` codes, and intersection leapfrogs both streams through
 //! [`psi_bits::GapCursor::next_geq`] instead of scanning `0..universe`.
 
-use psi_bits::{kernel, merge, GapBitmap, GapCursor};
+use psi_bits::{kernel, merge, GapBitmap};
 
 /// A compressed set of row ids (positions) returned by a range query.
 ///
@@ -226,65 +226,6 @@ impl RidSet {
     }
 }
 
-/// The occupancy summary of a cursor's *current* sample block, when the
-/// block is exactly summarized: `occ` covers buckets `[base, base + 64)`
-/// and describes every element of the block, which spans positions up to
-/// (excluding) `end` — the next sample. `j` is the block's entry index.
-struct BlockOcc {
-    j: usize,
-    base: u64,
-    occ: u64,
-    end: u64,
-}
-
-/// The summary of the block `cur` currently sits in, or `None` when the
-/// block cannot be trusted wholesale: the tail block (may be truncated or
-/// append-grown), a conservative `occ = 0` entry, or a block spanning
-/// more than the 64-bucket window its word can describe.
-fn block_occ(bm: &GapBitmap, cur: &GapCursor<'_>) -> Option<BlockOcc> {
-    let consumed = cur.consumed();
-    if consumed == 0 {
-        return None;
-    }
-    let dir = bm.skip_dir();
-    let j = ((consumed - 1) / u64::from(dir.k())) as usize;
-    let entries = dir.entries();
-    if j + 1 >= entries.len() {
-        return None;
-    }
-    let e = entries[j];
-    let end = entries[j + 1].pos;
-    if e.occ == 0 || ((end - 1) >> 6) - (e.pos >> 6) >= 64 {
-        return None;
-    }
-    Some(BlockOcc {
-        j,
-        base: e.pos >> 6,
-        occ: e.occ,
-        end,
-    })
-}
-
-/// Whether two exactly-summarized blocks provably share no position:
-/// their occupancy words, aligned to a common bucket base, AND to zero
-/// (blocks confined to disjoint bucket windows trivially qualify).
-fn blocks_disjoint(a: &BlockOcc, b: &BlockOcc) -> bool {
-    let anded = if a.base <= b.base {
-        let d = b.base - a.base;
-        if d >= 64 {
-            return true;
-        }
-        (a.occ >> d) & b.occ
-    } else {
-        let d = a.base - b.base;
-        if d >= 64 {
-            return true;
-        }
-        a.occ & (b.occ >> d)
-    };
-    anded == 0
-}
-
 /// Credit gate on per-probe occupancy consultation. Each
 /// [`SkipDirectory::rules_out`] call costs a directory binary search —
 /// pure overhead on workloads it never rules out (dense-vs-dense
@@ -300,22 +241,20 @@ const PROBE_CREDIT_CAP: i32 = 64;
 /// cursor to the other's head; matches are emitted, long runs of misses
 /// are jumped via the skip directories.
 ///
-/// Two occupancy-word kernels ride on top of the gallop (both behind
+/// An occupancy-word probe skip rides on top of the gallop (behind
 /// [`kernel::block_skip_enabled`]; the result is identical either way):
 /// a probe whose bucket the other side's directory proves empty is
 /// answered without touching the other stream at all (credit-gated, see
-/// [`PROBE_CREDIT_START`]), and when the two cursors' current sample
-/// blocks have disjoint occupancy words, the earlier-ending block is
-/// skipped whole — its codes are never decoded.
+/// [`PROBE_CREDIT_START`]).
 fn leapfrog_and(a: &GapBitmap, b: &GapBitmap, universe: u64) -> GapBitmap {
     let skip = kernel::block_skip_enabled();
     let mut credit = if skip { PROBE_CREDIT_START } else { 0 };
-    let (mut galloped, mut probe_skips, mut block_skips) = (0u64, 0u64, 0u64);
+    let (mut galloped, mut probe_skips) = (0u64, 0u64);
     let mut out = Vec::with_capacity(a.count().min(b.count()) as usize);
     let mut ac = a.cursor();
     let mut bc = b.cursor();
     if let Some(mut x) = ac.next() {
-        'leapfrog: loop {
+        loop {
             if credit > 0 {
                 if b.skip_dir().rules_out(x) {
                     // `x`'s bucket is provably empty in `b`: advance `a`
@@ -325,7 +264,7 @@ fn leapfrog_and(a: &GapBitmap, b: &GapBitmap, universe: u64) -> GapBitmap {
                     match ac.next() {
                         Some(v) => {
                             x = v;
-                            continue 'leapfrog;
+                            continue;
                         }
                         None => break,
                     }
@@ -342,38 +281,15 @@ fn leapfrog_and(a: &GapBitmap, b: &GapBitmap, universe: u64) -> GapBitmap {
                         None => break,
                     }
                 }
-                Some(mut y) => {
-                    if skip {
-                        // Whole-block skipping: `b` proved it has nothing
-                        // in `[x, y)`, so while the cursors' current
-                        // blocks are provably disjoint, the one ending
-                        // first can be jumped without decoding any of its
-                        // codes. (The earlier-ending block's elements all
-                        // lie below the other block's end, so the other
-                        // side's later blocks cannot reach them.)
-                        while let (Some(ba), Some(bb)) = (block_occ(a, &ac), block_occ(b, &bc)) {
-                            if !blocks_disjoint(&ba, &bb) {
-                                break;
-                            }
-                            block_skips += 1;
-                            if ba.end <= bb.end {
-                                x = ac.seat_at(ba.j + 1);
-                                continue 'leapfrog;
-                            }
-                            y = bc.seat_at(bb.j + 1);
-                        }
-                    }
-                    match ac.next_geq(y) {
-                        Some(v) => x = v,
-                        None => break,
-                    }
-                }
+                Some(y) => match ac.next_geq(y) {
+                    Some(v) => x = v,
+                    None => break,
+                },
             }
         }
     }
     kernel::INTERSECT_GALLOP.add(galloped);
     kernel::INTERSECT_BLOCK_SKIP.add(probe_skips);
-    kernel::INTERSECT_BLOCK_AND.add(block_skips);
     GapBitmap::from_sorted(&out, universe)
 }
 
@@ -550,33 +466,25 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_block_and_skips_disjoint_clusters() {
-        // Interleaved clusters: A on even cluster slots, B on odd — the
-        // intersection is empty, and whole sample blocks (64 elements
-        // inside one 256-long cluster) AND away without decoding.
+    fn clustered_intersections_match_reference_with_skip_on_and_off() {
+        // Interleaved clusters (A on even cluster slots, B on odd) give an
+        // empty intersection; A against overlapping clusters C keeps
+        // every one of A's first 128 positions per cluster.
         let n = 8192 * 400 + 1;
         let a = RidSet::from_positions(gap(&clusters(0, 2, 200, 256, 8192), n));
         let b = RidSet::from_positions(gap(&clusters(1, 2, 200, 256, 8192), n));
-        let _guard = BLOCK_SKIP_LOCK.lock().unwrap();
-        let ands_before = psi_bits::kernel::INTERSECT_BLOCK_AND.get();
-        let fast = a.intersect(&b);
-        assert!(
-            psi_bits::kernel::INTERSECT_BLOCK_AND.get() > ands_before,
-            "whole-block AND skip never fired on disjoint clusters"
-        );
-        psi_bits::kernel::set_block_skip(false);
-        let scalar = a.intersect(&b);
-        psi_bits::kernel::set_block_skip(true);
-        assert_eq!(fast, scalar);
-        assert!(fast.is_empty());
-        // Overlapping clusters still produce every match.
         let c = RidSet::from_positions(gap(&clusters(0, 1, 400, 128, 8192), n));
-        let ac = a.intersect(&c);
-        psi_bits::kernel::set_block_skip(false);
-        let ac_scalar = a.intersect(&c);
-        psi_bits::kernel::set_block_skip(true);
-        assert_eq!(ac, ac_scalar);
-        assert_eq!(ac.cardinality(), 200 * 128);
+        let _guard = BLOCK_SKIP_LOCK.lock().unwrap();
+        for (other, want) in [(&b, 0), (&c, 200 * 128)] {
+            let reference = a.intersect_reference(other);
+            assert_eq!(reference.cardinality(), want);
+            for skip in [true, false] {
+                psi_bits::kernel::set_block_skip(skip);
+                let got = a.intersect(other);
+                psi_bits::kernel::set_block_skip(true);
+                assert_eq!(got.to_vec(), reference.to_vec(), "skip {skip}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! E20 — kernel-layer microbenchmarks and their correctness gate.
 //!
 //! The full run times batch gamma decode in its three dispatch regimes
-//! (dual-chain sparse, quad-chain wide, burst dense) and the occupancy
-//! block-skipping intersection against its forced-scalar arm, asserting
+//! (sparse and wide codes with the burst test compiled out, dense codes
+//! with it in; all dual-chain) and the occupancy probe-skipping
+//! intersection against its forced-scalar arm, asserting
 //! along the way that the fast paths actually ran (kernel counters),
 //! that skip-on equals skip-off element for element, and that the
 //! sparse-probe-vs-dense workload beats forced scalar by ≥2×. `--smoke`

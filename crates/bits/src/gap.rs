@@ -402,11 +402,9 @@ impl GapBitmap {
     /// Runs the SWAR window kernel ([`crate::swar`]): every codeword
     /// inside a register-resident 64-bit window is decoded with a shift,
     /// a `leading_zeros` and a shift-extract — one memory load per *word*
-    /// of stream instead of per code, runs of unit gaps burst-emitted as
-    /// whole slices, and (with the `simd` feature on supporting CPUs) an
-    /// `lzcnt`/BMI-compiled clone of the same loop. Codes longer than 64
-    /// bits (gaps ≥ 2³²) take a word-scan fallback and re-synchronize the
-    /// window.
+    /// of stream instead of per code, and runs of unit gaps burst-emitted
+    /// as whole slices. Codes longer than 64 bits (gaps ≥ 2³²) take a
+    /// word-scan fallback and re-synchronize the window.
     ///
     /// An already-materialized skip directory additionally splits the
     /// stream at a recorded resume point and decodes the two halves as
@@ -536,29 +534,6 @@ impl<'a> GapCursor<'a> {
     /// The element most recently returned, if any.
     pub fn current(&self) -> Option<u64> {
         self.current
-    }
-
-    /// Elements decoded so far — the index of the next element
-    /// [`Self::next`] would yield (so `current()` is element
-    /// `consumed() - 1`).
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Re-seats the cursor *at* directory entry `j` (element index
-    /// `j · K`), so `current()` returns that sample and decoding resumes
-    /// behind it — the block-skipping jump: none of the skipped block's
-    /// codes are decoded. Must only move forward (`j · K ≥ consumed − 1`)
-    /// and `j` must be in range. Returns the sample's position.
-    pub fn seat_at(&mut self, j: usize) -> u64 {
-        let dir = self.bm.skip_dir();
-        let e = dir.entries()[j];
-        let k = u64::from(dir.k());
-        debug_assert!(j as u64 * k + 1 >= self.consumed, "cursor never rewinds");
-        self.src = self.bm.bits.reader_at(e.bit_off);
-        self.consumed = j as u64 * k + 1;
-        self.current = Some(e.pos);
-        e.pos
     }
 
     /// Advances to the next element.

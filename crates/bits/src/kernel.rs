@@ -1,13 +1,15 @@
 //! Kernel-path counters and switches.
 //!
-//! The bits crate has several implementations of the same logical
-//! operation (window-SWAR vs. lzcnt-accelerated vs. cursor-scalar decode,
-//! occupancy block-skipping vs. plain galloping intersection). These
-//! process-wide relaxed counters record which path actually ran, so a
-//! live server's STATS reply shows the kernel mix and tests can assert a
-//! fast path was exercised (not silently skipped by dispatch). Hot loops
-//! accumulate locally and flush one `fetch_add` per *operation*, never
-//! per element, so the counters cost nothing on the paths they observe.
+//! The kernel layer has two implementations of each hot operation: the
+//! window-SWAR batch decode ([`crate::GapBitmap::decode_all`], one or two
+//! interleaved chains) next to the cursor-scalar decoder, and the
+//! credit-gated occupancy-word probe skip next to plain galloping in the
+//! intersection and membership kernels. These process-wide relaxed
+//! counters record which path actually ran, so a live server's STATS
+//! reply shows the kernel mix and tests can assert a fast path was
+//! exercised (not silently skipped by dispatch). Hot loops accumulate
+//! locally and flush one `fetch_add` per *operation*, never per element,
+//! so the counters cost nothing on the paths they observe.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -43,9 +45,6 @@ impl Counter {
 
 /// Batch decodes served by the stable SWAR window kernel.
 pub static DECODE_SWAR: Counter = Counter::new("kernel/decode_swar");
-/// Batch decodes served by the `lzcnt`/BMI-accelerated kernel (requires
-/// the `simd` feature and runtime CPU support).
-pub static DECODE_SIMD: Counter = Counter::new("kernel/decode_simd");
 /// Streams decoded through the scalar cursor decoder (`GapDecoder`).
 pub static DECODE_SCALAR: Counter = Counter::new("kernel/decode_scalar");
 /// Encodes that ran through the word-accumulating [`crate::BitWriter`].
@@ -57,23 +56,18 @@ pub static INTERSECT_GALLOP: Counter = Counter::new("kernel/intersect_gallop");
 /// Intersection probes resolved by an occupancy word alone — the probed
 /// bucket's summary bit was clear, so no codes were decoded.
 pub static INTERSECT_BLOCK_SKIP: Counter = Counter::new("kernel/intersect_block_skip");
-/// Whole sample blocks skipped because the two sides' occupancy words
-/// ANDed to zero (neither block's codes were decoded).
-pub static INTERSECT_BLOCK_AND: Counter = Counter::new("kernel/intersect_block_and");
 /// Membership probes answered absent by an occupancy word alone.
 pub static CONTAINS_BLOCK_SKIP: Counter = Counter::new("kernel/contains_block_skip");
 
 /// All kernel counters, for snapshot surfaces (the serve STATS op).
-pub fn counters() -> [&'static Counter; 9] {
+pub fn counters() -> [&'static Counter; 7] {
     [
         &DECODE_SWAR,
-        &DECODE_SIMD,
         &DECODE_SCALAR,
         &ENCODE_BULK,
         &REENCODE_BITSET,
         &INTERSECT_GALLOP,
         &INTERSECT_BLOCK_SKIP,
-        &INTERSECT_BLOCK_AND,
         &CONTAINS_BLOCK_SKIP,
     ]
 }
@@ -114,12 +108,12 @@ mod tests {
     fn counters_accumulate() {
         // Deltas only: other tests in the process bump these counters
         // concurrently, so absolute values are not stable.
-        let before = INTERSECT_BLOCK_AND.get();
-        INTERSECT_BLOCK_AND.add(3);
-        INTERSECT_BLOCK_AND.add(0); // no-op, no fetch_add
-        assert!(INTERSECT_BLOCK_AND.get() >= before + 3);
+        let before = CONTAINS_BLOCK_SKIP.get();
+        CONTAINS_BLOCK_SKIP.add(3);
+        CONTAINS_BLOCK_SKIP.add(0); // no-op, no fetch_add
+        assert!(CONTAINS_BLOCK_SKIP.get() >= before + 3);
         let snap = snapshot();
-        assert!(snap.iter().any(|&(n, _)| n == "kernel/intersect_block_and"));
+        assert!(snap.iter().any(|&(n, _)| n == "kernel/contains_block_skip"));
         assert_eq!(snap.len(), counters().len());
     }
 

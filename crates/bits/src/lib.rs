@@ -27,10 +27,6 @@
 //! * [`kernel`] — kernel-path counters and switches (which decode /
 //!   intersect implementation actually ran);
 //! * [`entropy`] — empirical 0th-order entropy of symbol strings.
-//!
-//! The `simd` cargo feature adds `lzcnt`/BMI-compiled clones of the
-//! batch-decode kernel, selected by runtime CPU detection; the stable
-//! SWAR code is always compiled and remains the fallback.
 
 #![warn(missing_docs)]
 

@@ -48,7 +48,7 @@ pub struct SkipEntry {
     /// *no information* — an exact summary always has bit 0 set (the
     /// sampled element itself) — which is how append paths persist
     /// entries whose blocks may still grow. Intersection and membership
-    /// kernels AND/test these words to rule out whole buckets without
+    /// kernels test these words to rule out whole buckets without
     /// decoding any codes.
     pub occ: u64,
 }

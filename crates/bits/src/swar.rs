@@ -18,12 +18,9 @@
 //! one loop: the out-of-order core overlaps them for close to twice the
 //! throughput on one thread.
 //!
-//! Two bodies of the same `#[inline(always)]` core are compiled: the
-//! stable SWAR path (baseline x86-64 lowers `leading_zeros` to
-//! `bsr`+`cmov`), and — behind the `simd` cargo feature — an
-//! `lzcnt`/BMI-enabled clone selected once per process by runtime CPU
-//! detection. Both are differentially tested against the bit-by-bit
-//! reference decoders in `tests/differential.rs`.
+//! There is one portable body, differentially tested against the
+//! bit-by-bit reference decoders in `tests/differential.rs` in both
+//! debug and release builds.
 
 use crate::kernel;
 use crate::skip::SkipDirectory;
@@ -32,16 +29,6 @@ use crate::skip::SkipDirectory;
 /// is available: the dual-chain setup is not worth it under a few
 /// hundred codes.
 const DUAL_MIN_COUNT: u64 = 512;
-
-/// Streams at least this long split four ways instead of two — but only
-/// when the codes are wide (see [`QUAD_MIN_BITS_PER_CODE`]).
-const QUAD_MIN_COUNT: u64 = 8192;
-
-/// Four-way splitting needs wide codes to pay off: with few codes per
-/// 64-bit window the per-window overhead dominates and overlaps across
-/// chains, while for narrow codes the extra chain state costs more in
-/// register pressure than the added overlap returns.
-const QUAD_MIN_BITS_PER_CODE: u64 = 16;
 
 /// Streams whose mean code is at least this wide decode with the
 /// run-of-ones burst test compiled out of the fast drain: runs of unit
@@ -71,55 +58,35 @@ pub(crate) fn decode_gaps(
         return;
     }
     out.reserve(count as usize);
-    let (plan, n) = dir.map_or(([(0usize, 0u64, 0u64); 3], 0), |d| {
-        split_points(d, bit_len, count)
-    });
-    let splits = &plan[..n];
+    let split = dir.and_then(|d| split_points(d, bit_len, count));
     // Unit-gap run bursts only pay when the mean code is short enough
     // for runs to show up at all; wider streams compile the run test out
     // of the hot drain (see `Chain::step` — a unit gap still decodes
     // correctly through the plain gamma path, the burst is only ever an
     // optimization).
-    let burst = bit_len / count < BURST_MAX_BITS_PER_CODE;
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if lzcnt_available() {
-        // SAFETY: `lzcnt`, `bmi1` and `bmi2` were runtime-detected above.
-        let pos = unsafe {
-            if burst {
-                decode_core_accel::<true>(words, bit_len, out, count as usize, splits)
-            } else {
-                decode_core_accel::<false>(words, bit_len, out, count as usize, splits)
-            }
-        };
-        kernel::DECODE_SIMD.add(1);
-        check_count(out, count, bit_len, pos);
-        return;
-    }
-    let pos = if burst {
-        decode_core::<true>(words, bit_len, out, count as usize, splits)
+    let pos = if bit_len / count < BURST_MAX_BITS_PER_CODE {
+        decode_body::<true>(words, bit_len, out, count as usize, split)
     } else {
-        decode_core::<false>(words, bit_len, out, count as usize, splits)
+        decode_body::<false>(words, bit_len, out, count as usize, split)
     };
     kernel::DECODE_SWAR.add(1);
     check_count(out, count, bit_len, pos);
 }
 
-/// Picks the directory entry nearest one bit-offset `target` of the
-/// stream (balancing decode work, not element counts), returning the
-/// resuming chain's `(element index, value, resume bit offset)`. `min_j`
-/// keeps successive split entries strictly increasing.
-fn split_at(
-    dir: &SkipDirectory,
-    bit_len: u64,
-    count: u64,
-    target: u64,
-    min_j: usize,
-) -> Option<(usize, (usize, u64, u64))> {
+/// Plans the dual-chain split for one decode: the first directory entry
+/// at or past the stream's bit midpoint (balancing decode work, not
+/// element counts), as the resuming chain's `(element index, value,
+/// resume bit offset)` — or `None` for short streams, where one chain
+/// decodes all.
+fn split_points(dir: &SkipDirectory, bit_len: u64, count: u64) -> Option<(usize, u64, u64)> {
+    if count < DUAL_MIN_COUNT {
+        return None;
+    }
     let entries = dir.entries();
-    let j = entries.partition_point(|e| e.bit_off < target);
+    let j = entries.partition_point(|e| e.bit_off < bit_len / 2);
     // Entry 0 is the first element (offset past its code ≈ 0 bits in):
     // splitting there degenerates the leading chain.
-    if j <= min_j || j >= entries.len() {
+    if j == 0 || j >= entries.len() {
         return None;
     }
     let e = &entries[j];
@@ -129,48 +96,11 @@ fn split_at(
         // count checks still police the result.
         return None;
     }
-    Some((j, (idx as usize, e.pos, e.bit_off)))
+    Some((idx as usize, e.pos, e.bit_off))
 }
 
-/// Plans the chain splits for one decode: three quarter-point splits
-/// (four chains) for long streams, one midpoint split (two chains) for
-/// medium ones, none for short ones — returned as a fixed array plus
-/// the number of valid entries.
-fn split_points(dir: &SkipDirectory, bit_len: u64, count: u64) -> ([(usize, u64, u64); 3], usize) {
-    let mut splits = [(0usize, 0u64, 0u64); 3];
-    if count < DUAL_MIN_COUNT {
-        return (splits, 0);
-    }
-    if count >= QUAD_MIN_COUNT && bit_len / count >= QUAD_MIN_BITS_PER_CODE {
-        let mut j = 0usize;
-        let mut n = 0usize;
-        for t in 1..4u64 {
-            match split_at(dir, bit_len, count, bit_len / 4 * t, j) {
-                Some((nj, s)) => {
-                    splits[n] = s;
-                    n += 1;
-                    j = nj;
-                }
-                None => break,
-            }
-        }
-        if n == 3 {
-            return (splits, 3);
-        }
-        // Couldn't cut clean quarters — fall through to one midpoint cut.
-    }
-    match split_at(dir, bit_len, count, bit_len / 2, 0) {
-        Some((_, s)) => {
-            splits[0] = s;
-            (splits, 1)
-        }
-        None => (splits, 0),
-    }
-}
-
-/// The post-decode count check shared by both dispatch arms: `pos` is
-/// where decoding stopped — short of `bit_len` only when an output
-/// bound was hit with stream left over.
+/// The post-decode count check: `pos` is where decoding stopped — short
+/// of `bit_len` only when an output bound was hit with stream left over.
 fn check_count(out: &[u64], count: u64, bit_len: u64, pos: u64) {
     assert!(pos >= bit_len, "gap stream holds more codes than its count");
     assert!(
@@ -178,44 +108,6 @@ fn check_count(out: &[u64], count: u64, bit_len: u64, pos: u64) {
         "gap stream ended early: {} of {count} codes in {bit_len} bits",
         out.len()
     );
-}
-
-/// Whether the accelerated clone may run, detected once per process.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn lzcnt_available() -> bool {
-    use std::sync::OnceLock;
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("lzcnt")
-            && std::arch::is_x86_feature_detected!("bmi1")
-            && std::arch::is_x86_feature_detected!("bmi2")
-    })
-}
-
-/// The lzcnt/BMI clone of [`decode_body`]. `leading_zeros` lowers to one
-/// `lzcnt`, variable shifts to `shlx`/`shrx` — same source, shorter
-/// dependency chain per codeword.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "lzcnt,bmi1,bmi2")]
-unsafe fn decode_core_accel<const BURST: bool>(
-    words: &[u64],
-    bit_len: u64,
-    out: &mut Vec<u64>,
-    cap: usize,
-    splits: &[(usize, u64, u64)],
-) -> u64 {
-    decode_body::<BURST>(words, bit_len, out, cap, splits)
-}
-
-/// The stable-Rust SWAR entry point.
-fn decode_core<const BURST: bool>(
-    words: &[u64],
-    bit_len: u64,
-    out: &mut Vec<u64>,
-    cap: usize,
-    splits: &[(usize, u64, u64)],
-) -> u64 {
-    decode_body::<BURST>(words, bit_len, out, cap, splits)
 }
 
 /// One decode chain: an independent cursor over a half-open bit range of
@@ -388,34 +280,20 @@ fn boundary_ok(c: &Chain, split_pos: u64, split_off: u64) -> bool {
     c.idx == c.lim && gap != 0 && c.pos + u64::from(2 * (63 - gap.leading_zeros()) + 1) == split_off
 }
 
-/// Builds the chain that resumes at split `s` and runs to the next
-/// boundary `(end, lim)`.
-#[inline(always)]
-fn resume(s: (usize, u64, u64), end: u64, lim: usize) -> Chain {
-    Chain {
-        pos: s.2,
-        end,
-        idx: s.0 + 1,
-        lim,
-        prev: s.1,
-    }
-}
-
-/// The decode loop shared by both compilations. Emits through a raw
-/// pointer bounded by each chain's slot range (≤ the reserved capacity)
-/// — `Vec::push` would reload and store the length through memory on
-/// every element, which costs more than the decode itself. `splits`
-/// holds zero, one or three directory resume points, giving one, two or
-/// four interleaved chains. Returns the bit position where decoding
-/// stopped (short of `bit_len` only if an output bound was hit first,
-/// i.e. the stream holds more codes than its count).
+/// The decode loop. Emits through a raw pointer bounded by each chain's
+/// slot range (≤ the reserved capacity) — `Vec::push` would reload and
+/// store the length through memory on every element, which costs more
+/// than the decode itself. `split`, when present, is a directory resume
+/// point giving two interleaved chains. Returns the bit position where
+/// decoding stopped (short of `bit_len` only if an output bound was hit
+/// first, i.e. the stream holds more codes than its count).
 #[inline(always)]
 fn decode_body<const BURST: bool>(
     words: &[u64],
     bit_len: u64,
     out: &mut Vec<u64>,
     cap: usize,
-    splits: &[(usize, u64, u64)],
+    split: Option<(usize, u64, u64)>,
 ) -> u64 {
     debug_assert!(out.is_empty() && out.capacity() >= cap);
     let base = out.as_mut_ptr();
@@ -426,61 +304,24 @@ fn decode_body<const BURST: bool>(
         lim: cap,
         prev: u64::MAX,
     };
-    let (pos, len) = match *splits {
-        // Each split element's value is recorded in the directory — it is
-        // written to its slot directly; the next chain resumes decoding
-        // just past its codeword. The interleaved hot loops run one
+    let (pos, len) = match split {
+        // The split element's value is recorded in the directory — it is
+        // written to its slot directly; the second chain resumes decoding
+        // just past its codeword. The interleaved hot loop runs one
         // window per chain per iteration with no dependency between
-        // them, so the out-of-order core overlaps the decode chains.
-        [s1, s2, s3] if s3.0 < cap => {
-            // SAFETY: `s1.0 < s2.0 < s3.0 < cap` (split indices are
-            // strictly increasing directory samples).
-            unsafe {
-                base.add(s1.0).write(s1.1);
-                base.add(s2.0).write(s2.1);
-                base.add(s3.0).write(s3.1);
-            }
-            a.end = s1.2;
-            a.lim = s1.0;
-            let mut b = resume(s1, s2.2, s2.0);
-            let mut c = resume(s2, s3.2, s3.0);
-            let mut d = resume(s3, bit_len, cap);
-            while a.live() && b.live() && c.live() && d.live() {
-                // SAFETY: each chain stays inside its own slot range.
-                unsafe {
-                    a.step::<BURST>(words, base);
-                    b.step::<BURST>(words, base);
-                    c.step::<BURST>(words, base);
-                    d.step::<BURST>(words, base);
-                }
-            }
-            // Tail drains: with quarter-point splits the chains finish
-            // near-together, so these are short.
-            for ch in [&mut a, &mut b, &mut c, &mut d] {
-                while ch.live() {
-                    // SAFETY: as above.
-                    unsafe { ch.step::<BURST>(words, base) };
-                }
-            }
-            // Validate every boundary front to back so a failure reports
-            // the first disagreeing chain's cursor (its slot prefix is
-            // the initialized one) and the count checks fire.
-            if !boundary_ok(&a, s1.1, s1.2) {
-                (a.pos.min(s1.2.saturating_sub(1)), a.idx)
-            } else if !boundary_ok(&b, s2.1, s2.2) {
-                (b.pos.min(s2.2.saturating_sub(1)), b.idx)
-            } else if !boundary_ok(&c, s3.1, s3.2) {
-                (c.pos.min(s3.2.saturating_sub(1)), c.idx)
-            } else {
-                (d.pos, d.idx)
-            }
-        }
-        [s1] if s1.0 < cap => {
-            // SAFETY: `s1.0 < cap`.
-            unsafe { base.add(s1.0).write(s1.1) };
-            a.end = s1.2;
-            a.lim = s1.0;
-            let mut b = resume(s1, bit_len, cap);
+        // them, so the out-of-order core overlaps the two decode chains.
+        Some(s) if s.0 < cap => {
+            // SAFETY: `s.0 < cap`.
+            unsafe { base.add(s.0).write(s.1) };
+            a.end = s.2;
+            a.lim = s.0;
+            let mut b = Chain {
+                pos: s.2,
+                end: bit_len,
+                idx: s.0 + 1,
+                lim: cap,
+                prev: s.1,
+            };
             while a.live() && b.live() {
                 // SAFETY: each chain stays inside its own slot range.
                 unsafe {
@@ -496,12 +337,13 @@ fn decode_body<const BURST: bool>(
                 // SAFETY: as above.
                 unsafe { b.step::<BURST>(words, base) };
             }
-            if boundary_ok(&a, s1.1, s1.2) {
+            if boundary_ok(&a, s.1, s.2) {
                 (b.pos, b.idx)
             } else {
                 // Chain A's region disagrees with the directory: report
-                // its cursor so the count checks fire.
-                (a.pos.min(s1.2.saturating_sub(1)), a.idx)
+                // its cursor (its slot prefix is the initialized one) so
+                // the count checks fire.
+                (a.pos.min(s.2.saturating_sub(1)), a.idx)
             }
         }
         _ => {
@@ -554,5 +396,99 @@ fn bits_at(words: &[u64], pos: u64, k: u32) -> u64 {
         let hi = words[w] << off >> (64 - k);
         let lo = words[w + 1] >> (64 - (k - avail));
         hi | lo
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::skip::SkipEntry;
+    use crate::{GapBitmap, SKIP_SAMPLE};
+
+    fn stream(count: u64, gap: u64) -> (Vec<u64>, GapBitmap) {
+        let positions: Vec<u64> = (0..count).map(|i| i * gap + i % 3).collect();
+        let bm = GapBitmap::from_sorted(&positions, count * gap + 3);
+        (positions, bm)
+    }
+
+    #[test]
+    fn no_split_below_dual_min_count() {
+        for gap in [3, 100, 50_000] {
+            let (_, bm) = stream(DUAL_MIN_COUNT - 1, gap);
+            let (bits, dir) = (bm.code_bits().len(), bm.skip_dir());
+            assert_eq!(
+                split_points(dir, bits, DUAL_MIN_COUNT - 1),
+                None,
+                "gap {gap}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_split_when_the_directory_disagrees_with_the_count() {
+        let (_, bm) = stream(4096, 100);
+        let (bits, dir) = (bm.code_bits().len(), bm.skip_dir());
+        // The midpoint sample's element index lies past the claimed count.
+        assert_eq!(split_points(dir, bits, 600), None);
+        // A sample whose resume offset lies past the end of the stream.
+        let entries = vec![
+            dir.entries()[0],
+            SkipEntry {
+                bit_off: bits + 5,
+                ..dir.entries()[1]
+            },
+        ];
+        let past_end = SkipDirectory::from_entries(SKIP_SAMPLE, entries);
+        assert_eq!(split_points(&past_end, bits, 4096), None);
+        // A directory truncated to its first sample has nothing to split at.
+        let first_only = SkipDirectory::from_entries(SKIP_SAMPLE, dir.entries()[..1].to_vec());
+        assert_eq!(split_points(&first_only, bits, 4096), None);
+    }
+
+    #[test]
+    fn one_split_at_or_above_dual_min_count() {
+        for count in [DUAL_MIN_COUNT, 1000, 8192, 9000] {
+            for gap in [3, 100, 50_000] {
+                let (positions, bm) = stream(count, gap);
+                let (bits, dir) = (bm.code_bits().len(), bm.skip_dir());
+                let (idx, pos, off) = split_points(dir, bits, count)
+                    .unwrap_or_else(|| panic!("no split: count {count}, gap {gap}"));
+                assert!(idx > 0 && (idx as u64) < count, "count {count}, gap {gap}");
+                assert_eq!(idx as u64 % u64::from(SKIP_SAMPLE), 0);
+                assert_eq!(pos, positions[idx]);
+                // The first sample at or past the stream's bit midpoint.
+                assert!(off >= bits / 2);
+                let prev = dir.entries()[idx / SKIP_SAMPLE as usize - 1].bit_off;
+                assert!(prev < bits / 2, "count {count}, gap {gap}");
+                let mut out = Vec::new();
+                decode_gaps(bm.code_bits().words(), bits, count, Some(dir), &mut out);
+                assert_eq!(out, positions);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gap stream holds more codes than its count")]
+    fn wrong_dual_boundary_residue_fails_the_count_check() {
+        // Every sample's resume offset one bit late: the leading chain
+        // stops one bit short of the split, and the boundary check must
+        // turn that into the count-check panic rather than let the
+        // misaligned second chain's output through.
+        let (_, bm) = stream(1024, 3);
+        let dir = bm.skip_dir();
+        let mut entries = dir.entries().to_vec();
+        for e in &mut entries[1..] {
+            e.bit_off += 1;
+        }
+        let late = SkipDirectory::from_entries(dir.k(), entries);
+        let bits = bm.code_bits().len();
+        assert!(split_points(&late, bits, 1024).is_some());
+        decode_gaps(
+            bm.code_bits().words(),
+            bits,
+            1024,
+            Some(&late),
+            &mut Vec::new(),
+        );
     }
 }

@@ -229,8 +229,9 @@ proptest! {
         jitter in 1u64..1000,
         count in 8192u64..8600,
     ) {
-        // Wide codes (≥ 16 bits each) over ≥ 8192 elements select the
-        // four-chain split; every boundary residue must validate.
+        // Wide codes (≥ 16 bits each) over ≥ 8192 elements take the
+        // dual-chain split (burst test compiled out); the boundary
+        // residue must validate.
         let positions: Vec<u64> = (0..count).map(|i| i * stride + (i % jitter)).collect();
         let b = GapBitmap::from_sorted(&positions, count * stride + jitter);
         let _ = b.skip_dir();

@@ -71,10 +71,10 @@ fn store_path(tag: &str) -> PathBuf {
     dir.join(format!("{tag}.psi"))
 }
 
-/// `(swar + simd, scalar, bitset re-encodes)` kernel counts so far.
+/// `(swar, scalar, bitset re-encodes)` kernel counts so far.
 fn kernels() -> (u64, u64, u64) {
     (
-        kernel::DECODE_SWAR.get() + kernel::DECODE_SIMD.get(),
+        kernel::DECODE_SWAR.get(),
         kernel::DECODE_SCALAR.get(),
         kernel::REENCODE_BITSET.get(),
     )
