@@ -85,6 +85,30 @@ pub trait SecondaryIndex: Send + Sync {
         psi_io::catch_read(io, || self.query(lo, hi, io))
     }
 
+    /// Word-array form of [`Self::try_query`], the input of dense
+    /// conjunctions: sets the rows of `I[lo; hi]` in `words`, an LSB-first
+    /// array over `[0, n)` ([`psi_bits::merge::universe_words`] long) that
+    /// is all zero on entry. Nothing is encoded, so a conjunction can AND
+    /// its conditions word by word and encode only the final answer.
+    ///
+    /// The default runs `try_query` and ORs the logical rows of its
+    /// [`RidSet`], so every family answers it. Families whose cover merge
+    /// already builds a word bitmap override it to skip the re-encode and
+    /// the decode that would follow; they charge exactly the blocks
+    /// `try_query` charges. On `Err` the words hold a partial answer and
+    /// must be discarded.
+    fn try_query_words(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        io: &IoSession,
+        words: &mut [u64],
+    ) -> Result<(), ReadError> {
+        let rows = self.try_query(lo, hi, io)?;
+        psi_bits::merge::or_positions(words, 0, rows.iter());
+        Ok(())
+    }
+
     /// Fallible form of [`Self::query_measured`]: the I/O statistics are
     /// returned even when the query fails — the charges and retries up
     /// to the fault are exactly what degraded-mode accounting needs.

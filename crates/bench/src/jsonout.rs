@@ -375,6 +375,84 @@ pub fn run_microbenches() -> Vec<JsonResult> {
         );
     }
 
+    // --- conjunctive queries at the Scan boundary (z_min = n/64): a
+    // selective condition of exactly n/64 − 1 or n/64 rows, ANDed with a
+    // broad density-¼ one (scan_wide's shape). The planner answers below
+    // the boundary with a compressed combine and at it with the
+    // word-array AND; forced Gallop and forced Scan run on both sides ---
+    {
+        use psi_query::{CombineStrategy, IndexedColumn, IndexedTable, Plan, Predicate};
+        let n = 1usize << 16;
+        let boundary = n / 64;
+        // Symbol 0 holds n/64 − 1 rows and symbol 1 holds n/64, spread
+        // over the table by an odd-multiplier permutation of 0..n.
+        let mut sel = vec![0u32; n];
+        for j in 0..n {
+            sel[j.wrapping_mul(40_503) % n] = if j < boundary - 1 {
+                0
+            } else if j < 2 * boundary - 1 {
+                1
+            } else {
+                2 + (j % 62) as u32
+            };
+        }
+        let columns = [
+            ("sel", 64, sel),
+            ("wide", 4, psi_workloads::uniform(n, 4, 21)),
+        ];
+        let indexed = IndexedTable::from_columns(
+            columns
+                .into_iter()
+                .map(|(name, sigma, data)| IndexedColumn {
+                    name: name.into(),
+                    sigma,
+                    index: Box::new(psi_core::OptimalIndex::build(
+                        &data,
+                        sigma,
+                        IoConfig::default(),
+                    )),
+                })
+                .collect(),
+        );
+        for (side, symbol) in [("below", 0), ("at", 1)] {
+            let query = Predicate::and([
+                Predicate::point("sel", symbol),
+                Predicate::range("wide", 0, 0),
+            ])
+            .normalize()
+            .expect("conjunctive");
+            let plan: Plan = indexed.plan_query(&query).expect("plan");
+            assert_eq!(plan.estimates[0], (boundary - 1 + symbol as usize) as u64);
+            assert_eq!(
+                plan.strategy == CombineStrategy::Scan,
+                side == "at",
+                "the planner's Scan boundary is z_min = n/64"
+            );
+            let rows = |strategy: Option<CombineStrategy>| {
+                match strategy {
+                    None => indexed.execute_conjunctive(&query),
+                    Some(s) => indexed.execute_forced(&query, &plan.order, s),
+                }
+                .expect("boundary query")
+                .rows
+                .cardinality()
+            };
+            let want = rows(None);
+            for (arm, strategy) in [
+                ("planned", None),
+                ("gallop", Some(CombineStrategy::Gallop)),
+                ("scan", Some(CombineStrategy::Scan)),
+            ] {
+                assert_eq!(rows(strategy), want, "{side} {arm}");
+                push(
+                    &format!("conjunctive/boundary_{side}_{arm}"),
+                    measure(|| rows(strategy)),
+                    want,
+                );
+            }
+        }
+    }
+
     // --- query (end to end, wall clock; I/O-model costs are the
     // experiment binaries' domain) ---
     let n = 1usize << 17;

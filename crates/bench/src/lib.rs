@@ -2132,7 +2132,7 @@ pub fn e20() -> Vec<jsonout::JsonResult> {
 /// [`e20`] with explicit sizes (the CI smoke run shrinks both and
 /// loosens the speedup gate for shared-runner noise).
 ///
-/// Emitted rows: `kernel/decode_{sparse13,wide4093,dense}` (batch decode
+/// Emitted rows: `kernel/decode_{sparse13,wide4093,dense,uniform4}` (batch decode
 /// through whatever kernel dispatch picks — single or dual chain, burst
 /// test on or off — with `per_element_ns` carrying the headline number)
 /// and `kernel/intersect_probe_{skip,scalar}` (the same workload with
@@ -2173,15 +2173,23 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
         });
     };
 
-    // --- batch decode: the three regimes the dispatch splits on. All
-    // three take the dual-chain path; sparse13 (7-bit codes) and
-    // wide4093 (~23-bit codes) compile the burst test out, dense
-    // exercises the burst loop.
+    // --- batch decode: the three regimes the dispatch splits on, plus
+    // the shape real dense conditions have. All take the dual-chain path;
+    // sparse13 (7-bit codes) and wide4093 (~23-bit codes) compile the
+    // burst test out, dense exercises the burst loop. uniform4 is
+    // scan_wide's condition shape: each position present with
+    // probability ¼, so gaps are geometric and runs short, and the burst
+    // test mispredicts. It is recorded here, not tuned for.
     let n = decode_n as u64;
-    let shapes: [(&str, Vec<u64>); 3] = [
+    let mut rng = StdRng::seed_from_u64(20);
+    let shapes: [(&str, Vec<u64>); 4] = [
         ("sparse13", (0..n).map(|i| i * 13).collect()),
         ("wide4093", (0..n).map(|i| i * 4093).collect()),
         ("dense", (0..n).map(|i| i + i / 7).collect()),
+        (
+            "uniform4",
+            (0..4 * n).filter(|_| rng.gen_range(0..4u32) == 0).collect(),
+        ),
     ];
     let mut buf = Vec::with_capacity(decode_n);
     for (name, positions) in &shapes {
@@ -2199,7 +2207,12 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
             kernel::DECODE_SWAR.get() > swar_before,
             "the SWAR kernel never counted the {name} batch"
         );
-        push(&mut out, format!("kernel/decode_{name}"), m, n);
+        push(
+            &mut out,
+            format!("kernel/decode_{name}"),
+            m,
+            positions.len() as u64,
+        );
     }
 
     // --- sparse-probe-vs-dense intersection: B is clusters of 100

@@ -189,21 +189,57 @@ impl SpanBitset {
     /// Sets every element of `positions` (each inside the span).
     #[inline]
     pub fn extend<I: IntoIterator<Item = u64>>(&mut self, positions: I) {
-        for p in positions {
-            debug_assert!(
-                (self.lo..=self.hi).contains(&p),
-                "element {p} outside declared span [{}, {}]",
-                self.lo,
-                self.hi
-            );
-            let off = p - self.base;
-            self.words[(off / 64) as usize] |= 1u64 << (off % 64);
-        }
+        let (lo, hi) = (self.lo, self.hi);
+        or_positions(
+            &mut self.words,
+            self.base,
+            positions.into_iter().inspect(|p| {
+                debug_assert!(
+                    (lo..=hi).contains(p),
+                    "element {p} outside declared span [{lo}, {hi}]"
+                )
+            }),
+        );
     }
 
     /// Re-encodes the accumulated union as a bitmap over `universe`.
     pub fn finish(&self, universe: u64) -> GapBitmap {
         GapBitmap::from_words_span(&self.words, self.base, universe)
+    }
+}
+
+/// Length of a full-universe word array: LSB-first words over
+/// `[0, universe)`, the layout [`GapBitmap::from_words`] encodes. Dense
+/// conjunctions evaluate each condition into one such array and AND
+/// them, so only the final answer is ever encoded.
+pub fn universe_words(universe: u64) -> usize {
+    universe.div_ceil(64) as usize
+}
+
+/// ORs every element of `positions` into the LSB-first word array
+/// `words`, whose bit 0 stands for position `base`.
+#[inline]
+pub fn or_positions<I: IntoIterator<Item = u64>>(words: &mut [u64], base: u64, positions: I) {
+    for p in positions {
+        let off = p - base;
+        words[(off / 64) as usize] |= 1u64 << (off % 64);
+    }
+}
+
+/// Complements a full-universe word array ([`universe_words`] long)
+/// within `[0, universe)`, keeping the bits at or beyond `universe` zero:
+/// §2.1's complement trick on words.
+pub fn invert_within(words: &mut [u64], universe: u64) {
+    debug_assert_eq!(
+        words.len(),
+        universe_words(universe),
+        "not a full-universe array"
+    );
+    for w in words.iter_mut() {
+        *w = !*w;
+    }
+    if let (Some(last), tail @ 1..) = (words.last_mut(), universe % 64) {
+        *last &= (1u64 << tail) - 1;
     }
 }
 
@@ -411,6 +447,24 @@ mod tests {
         assert_eq!(plan(8, total, span), MergeStrategy::Bitset);
         assert_eq!(bitset, heap);
         assert_eq!(bitset.count(), total);
+    }
+
+    #[test]
+    fn word_helpers_or_and_invert_within_the_universe() {
+        for universe in [0u64, 1, 63, 64, 65, 200] {
+            let mut words = vec![0u64; universe_words(universe)];
+            let set: Vec<u64> = (0..universe).filter(|p| p % 3 == 0).collect();
+            or_positions(&mut words, 0, set.iter().copied());
+            assert_eq!(GapBitmap::from_words(&words, universe).to_vec(), set);
+            invert_within(&mut words, universe);
+            let rest: Vec<u64> = (0..universe).filter(|p| p % 3 != 0).collect();
+            // Tail bits stay zero, so the encode accepts the array.
+            assert_eq!(GapBitmap::from_words(&words, universe).to_vec(), rest);
+        }
+        // A based array: bit 0 is position `base`.
+        let mut span = vec![0u64; 2];
+        or_positions(&mut span, 128, [128, 191, 255]);
+        assert_eq!(span, vec![1 | 1 << 63, 1 << 63]);
     }
 
     proptest! {

@@ -21,6 +21,7 @@
 //! samples with the payload so the returned bitmap supports galloping set
 //! operations without a decode pass).
 
+use psi_api::RidSet;
 use psi_bits::merge::{self, MergeStrategy, SpanBitset};
 use psi_bits::skip::{self, SkipDirectory, SkipEntry};
 use psi_bits::{codes, BitBuf, GapBitmap, GapDecoder, SKIP_ENTRY_BITS, SKIP_SAMPLE};
@@ -413,6 +414,59 @@ impl CutStream {
     }
 }
 
+/// The stored bitmaps that answer one range query of a cut-stream family
+/// (`Engine`, `UniformTreeIndex`), found from directory metadata before
+/// any bitmap bit is read: their union is the answer or, for results
+/// larger than `n/2`, its complement (§2.1's trick).
+#[derive(Debug, Default)]
+pub(crate) struct Cover<'a> {
+    /// `(cut, slot index)` pairs; empty slots allowed. No slots at all is
+    /// the empty answer.
+    pub(crate) slots: Vec<(&'a CutStream, usize)>,
+    /// Whether the slots' union is the complement of the answer.
+    pub(crate) complemented: bool,
+}
+
+impl Cover<'_> {
+    /// The answer, compressed: the union through [`merge_slots`],
+    /// `strategy` forcing the plan of a multi-slot merge.
+    pub(crate) fn query(
+        &self,
+        disk: &Disk,
+        io: &IoSession,
+        universe: u64,
+        strategy: Option<MergeStrategy>,
+    ) -> RidSet {
+        let union = merge_slots(disk, &self.slots, io, universe, strategy);
+        if self.complemented {
+            RidSet::from_complement(union)
+        } else {
+            RidSet::from_positions(union)
+        }
+    }
+
+    /// The answer in `words`, a zeroed full-universe word array
+    /// ([`merge::universe_words`]`(universe)` long): every slot goes
+    /// through [`lift_slots`] and its positions are ORed in, with no
+    /// encode at all; a complemented union is then inverted within
+    /// `universe`. The same slots are lifted, so the charges equal
+    /// [`Self::query`]'s under any plan.
+    pub(crate) fn query_words(
+        &self,
+        disk: &Disk,
+        io: &IoSession,
+        universe: u64,
+        words: &mut [u64],
+    ) {
+        lift_slots(disk, &non_empty(&self.slots), io, universe, |positions| {
+            merge::or_positions(words, 0, positions.iter().copied())
+        });
+        if self.complemented {
+            merge::invert_within(words, universe);
+        }
+    }
+}
+
 /// Merges the bitmaps stored in a cover's slots — `(cut, slot index)`
 /// pairs over `disk`, empty slots allowed — into one bitmap over
 /// `universe`, charging `io`: the cover merge of both cut-stream
@@ -424,10 +478,8 @@ impl CutStream {
 ///   verbatim word copy, with the persisted skip directory lifted along
 ///   once the result is large enough to gallop over;
 /// * dense covers ([`MergeStrategy::Bitset`], the complement trick's
-///   usual shape) lift each slot in turn — one verbatim copy, so one pin
-///   at a time on a pooled disk — batch-decode it with the word kernel
-///   ([`GapBitmap::decode_all`]) into one reused buffer, OR the positions
-///   into a [`SpanBitset`] and re-encode once;
+///   usual shape) go through [`lift_slots`] into a [`SpanBitset`] and
+///   re-encode once;
 /// * sparse covers ([`MergeStrategy::Linear`], [`MergeStrategy::Heap`])
 ///   stream through one decoder per slot, in bounded memory.
 ///
@@ -436,19 +488,14 @@ impl CutStream {
 /// forces the plan of a multi-slot cover (the forced-[`MergeStrategy::Heap`]
 /// replay is the differential oracle of the other arms); `None` lets
 /// [`merge::plan`] pick.
-pub fn merge_slots(
+pub(crate) fn merge_slots(
     disk: &Disk,
     cover: &[(&CutStream, usize)],
     io: &IoSession,
     universe: u64,
     strategy: Option<MergeStrategy>,
 ) -> GapBitmap {
-    // Empty slots contribute nothing — and would poison the span.
-    let cover: Vec<(&CutStream, usize)> = cover
-        .iter()
-        .copied()
-        .filter(|&(cut, idx)| cut.slot(idx).count > 0)
-        .collect();
+    let cover = non_empty(cover);
     match cover[..] {
         [] => return GapBitmap::empty(universe),
         [(cut, idx)] => return cut.copy_bitmap_auto(disk, idx, io, universe),
@@ -465,14 +512,9 @@ pub fn merge_slots(
     match strategy.unwrap_or_else(|| merge::plan(cover.len(), total, span)) {
         MergeStrategy::Bitset => {
             let mut acc = SpanBitset::new(span.expect("non-empty cover"));
-            let mut positions = Vec::new();
-            for &(cut, idx) in &cover {
-                // The copy's reader (and its pin) is gone before the next
-                // slot is read.
-                cut.copy_bitmap(disk, idx, io, universe)
-                    .decode_all(&mut positions);
-                acc.extend(positions.iter().copied());
-            }
+            lift_slots(disk, &cover, io, universe, |positions| {
+                acc.extend(positions.iter().copied())
+            });
             acc.finish(universe)
         }
         strategy => {
@@ -482,6 +524,49 @@ pub fn merge_slots(
                 .collect();
             merge::merge_with_strategy(decoders, universe, total, span, strategy)
         }
+    }
+}
+
+/// The cover without its empty slots, which contribute nothing and would
+/// poison the span.
+fn non_empty<'c>(cover: &[(&'c CutStream, usize)]) -> Vec<(&'c CutStream, usize)> {
+    cover
+        .iter()
+        .copied()
+        .filter(|&(cut, idx)| cut.slot(idx).count > 0)
+        .collect()
+}
+
+/// The one lift loop of the dense paths: each non-empty slot of `cover`
+/// in turn is copied verbatim — [`CutStream::copy_bitmap_auto`] when it is
+/// the whole cover, else [`CutStream::copy_bitmap`] — batch-decoded with
+/// the word kernel ([`GapBitmap::decode_all`]) into one reused buffer, and
+/// handed to `sink`. One copy at a time, so one pin at a time on a pooled
+/// disk.
+///
+/// The word path ([`Cover::query_words`]) never gallops, so it has no use
+/// for a single slot's skip directory; it still reads it, through
+/// `copy_bitmap_auto`, only so that its charges equal the single-slot
+/// answer of [`merge_slots`] block for block (the I/O-parity contract
+/// the replay tests assert across combine strategies).
+fn lift_slots(
+    disk: &Disk,
+    cover: &[(&CutStream, usize)],
+    io: &IoSession,
+    universe: u64,
+    mut sink: impl FnMut(&[u64]),
+) {
+    let mut positions = Vec::new();
+    for &(cut, idx) in cover {
+        // The copy's reader (and its pin) is gone before the next slot is
+        // read.
+        let bitmap = if cover.len() == 1 {
+            cut.copy_bitmap_auto(disk, idx, io, universe)
+        } else {
+            cut.copy_bitmap(disk, idx, io, universe)
+        };
+        bitmap.decode_all(&mut positions);
+        sink(&positions);
     }
 }
 

@@ -32,10 +32,9 @@
 
 use psi_api::{check_range, RidSet, Symbol};
 use psi_bits::merge::{self, MergeStrategy};
-use psi_bits::GapBitmap;
 use psi_io::{cost, Disk, ExtentId, IoConfig, IoSession};
 
-use crate::cutstream::{self, CutStream, Slack};
+use crate::cutstream::{Cover, CutStream, Slack};
 use crate::remap::Remap;
 use crate::wbb::{NodeId, WbbTree};
 
@@ -337,7 +336,7 @@ impl Engine {
 
     /// Answers the alphabet range query (paper endpoints, inclusive).
     pub fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-        self.query_planned(lo, hi, io, None)
+        self.cover(lo, hi, io).query(&self.disk, io, self.n, None)
     }
 
     /// [`Self::query`] with every multi-slot cover merge forced to
@@ -351,38 +350,56 @@ impl Engine {
         strategy: MergeStrategy,
         io: &IoSession,
     ) -> RidSet {
-        self.query_planned(lo, hi, io, Some(strategy))
+        self.cover(lo, hi, io)
+            .query(&self.disk, io, self.n, Some(strategy))
     }
 
-    fn query_planned(
-        &self,
-        lo: Symbol,
-        hi: Symbol,
-        io: &IoSession,
-        strategy: Option<MergeStrategy>,
-    ) -> RidSet {
+    /// [`Self::query`] into a zeroed full-universe word array
+    /// ([`psi_api::SecondaryIndex::try_query_words`]'s layout): the same
+    /// cover, so the same blocks are charged.
+    pub(crate) fn query_words(&self, lo: Symbol, hi: Symbol, io: &IoSession, words: &mut [u64]) {
+        self.cover(lo, hi, io)
+            .query_words(&self.disk, io, self.n, words);
+    }
+
+    /// The cut slots answering `[lo, hi]`. For results larger than `n/2`
+    /// (§2.1's complement trick) they cover the two complementary index
+    /// ranges instead. Decomposing charges the tree descent; no bitmap bit
+    /// is read yet.
+    fn cover(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Cover<'_> {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+            return Cover::default();
         }
         let (ilo, ihi) = self.remap.map_range(lo, hi);
         let qs = self.counts.prefix(ilo as usize);
         let qe = self.counts.prefix(ihi as usize + 1);
         let z = qe - qs;
         if z == 0 {
-            return RidSet::from_positions(GapBitmap::empty(self.n));
+            return Cover::default();
         }
-        if 2 * z > self.n {
-            // §2.1's complement trick: answer the two complementary index
-            // ranges and return the complement representation.
+        let complemented = 2 * z > self.n;
+        let canonical = if complemented {
             let mut canonical = self.decompose(0, qs, io);
             canonical.extend(self.decompose(qe, self.n, io));
-            let positions = self.merge_canonical(&canonical, io, strategy);
-            RidSet::from_complement(positions)
+            canonical
         } else {
-            let canonical = self.decompose(qs, qe, io);
-            let positions = self.merge_canonical(&canonical, io, strategy);
-            RidSet::from_positions(positions)
+            self.decompose(qs, qe, io)
+        };
+        // Each canonical node contributes its own slot if materialized,
+        // otherwise its frontier in the next cut below (§2.2's "merging
+        // the bitmaps stored with all the nearest descendants that are in
+        // the materialized level immediately below").
+        let mut slots = Vec::new();
+        for &v in &canonical {
+            self.collect_slots(v, &mut slots);
+        }
+        Cover {
+            slots: slots
+                .iter()
+                .map(|&(cut, slot)| (&self.cuts[cut as usize], slot as usize))
+                .collect(),
+            complemented,
         }
     }
 
@@ -395,32 +412,6 @@ impl Engine {
         }
         let (ilo, ihi) = self.remap.map_range(lo, hi);
         self.counts.prefix(ihi as usize + 1) - self.counts.prefix(ilo as usize)
-    }
-
-    /// Reconstructs the union of the canonical nodes' position sets. Each
-    /// node contributes its own slot if materialized, otherwise its
-    /// frontier in the next cut below (§2.2's "merging the bitmaps stored
-    /// with all the nearest descendants that are in the materialized level
-    /// immediately below").
-    ///
-    /// The merge itself is [`cutstream::merge_slots`]: planned from slot
-    /// metadata, dense covers lifted slot by slot into the batch decode
-    /// kernel, sparse ones streamed; identical charges either way.
-    fn merge_canonical(
-        &self,
-        canonical: &[NodeId],
-        io: &IoSession,
-        strategy: Option<MergeStrategy>,
-    ) -> GapBitmap {
-        let mut slots = Vec::new();
-        for &v in canonical {
-            self.collect_slots(v, &mut slots);
-        }
-        let cover: Vec<_> = slots
-            .iter()
-            .map(|&(cut, slot)| (&self.cuts[cut as usize], slot as usize))
-            .collect();
-        cutstream::merge_slots(&self.disk, &cover, io, self.n, strategy)
     }
 
     /// Appends original character `ch` at position `n`, charging `io`

@@ -1,6 +1,6 @@
 //! The optimal static secondary index (Theorem 2).
 
-use psi_api::{HasDisk, RidSet, SecondaryIndex, Symbol};
+use psi_api::{HasDisk, ReadError, RidSet, SecondaryIndex, Symbol};
 use psi_bits::merge::MergeStrategy;
 use psi_io::{Disk, IoConfig, IoSession};
 
@@ -115,6 +115,16 @@ impl SecondaryIndex for OptimalIndex {
 
     fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
         self.engine.query(lo, hi, io)
+    }
+
+    fn try_query_words(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        io: &IoSession,
+        words: &mut [u64],
+    ) -> Result<(), ReadError> {
+        psi_io::catch_read(io, || self.engine.query_words(lo, hi, io, words))
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {

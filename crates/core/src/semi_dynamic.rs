@@ -1,6 +1,6 @@
 //! The semi-dynamic (append-only) index (Theorem 4).
 
-use psi_api::{AppendIndex, HasDisk, RidSet, SecondaryIndex, Symbol};
+use psi_api::{AppendIndex, HasDisk, ReadError, RidSet, SecondaryIndex, Symbol};
 use psi_io::{Disk, IoConfig, IoSession};
 
 use crate::cutstream::Slack;
@@ -86,6 +86,16 @@ impl SecondaryIndex for SemiDynamicIndex {
 
     fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
         self.engine.query(lo, hi, io)
+    }
+
+    fn try_query_words(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        io: &IoSession,
+        words: &mut [u64],
+    ) -> Result<(), ReadError> {
+        psi_io::catch_read(io, || self.engine.query_words(lo, hi, io, words))
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {

@@ -14,12 +14,11 @@
 //! space (every level repeats the whole multiset), which is exactly what
 //! the weight-balanced structure of Theorem 2 fixes.
 
-use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
+use psi_api::{check_range, HasDisk, ReadError, RidSet, SecondaryIndex, Symbol};
 use psi_bits::merge::{self, MergeStrategy};
-use psi_bits::GapBitmap;
 use psi_io::{cost, Disk, IoConfig, IoSession};
 
-use crate::cutstream::{self, CutStream, Slack};
+use crate::cutstream::{Cover, CutStream, Slack};
 
 /// Theorem 1's complete-binary-tree index.
 #[derive(Debug)]
@@ -135,24 +134,6 @@ impl UniformTreeIndex {
         out
     }
 
-    /// Merges the cover's bitmaps into a compressed result through
-    /// [`cutstream::merge_slots`] (a one-subtree cover is a verbatim word
-    /// copy; larger covers are planned from slot counts and the cover's
-    /// position span before any decode). `strategy` forces the plan of a
-    /// multi-slot cover.
-    fn merge_cover(
-        &self,
-        cover: &[(usize, u64)],
-        io: &IoSession,
-        strategy: Option<MergeStrategy>,
-    ) -> GapBitmap {
-        let cover: Vec<_> = cover
-            .iter()
-            .map(|&(level, idx)| (&self.levels[level], idx as usize))
-            .collect();
-        cutstream::merge_slots(&self.disk, &cover, io, self.n, strategy)
-    }
-
     /// [`SecondaryIndex::query`] with every multi-slot cover merge forced
     /// to `strategy` — the differential oracle of the planned merge
     /// (identical rows, identical I/O).
@@ -163,38 +144,36 @@ impl UniformTreeIndex {
         strategy: MergeStrategy,
         io: &IoSession,
     ) -> RidSet {
-        self.query_planned(lo, hi, io, Some(strategy))
+        self.cover(lo, hi)
+            .query(&self.disk, io, self.n, Some(strategy))
     }
 
-    fn query_planned(
-        &self,
-        lo: Symbol,
-        hi: Symbol,
-        io: &IoSession,
-        strategy: Option<MergeStrategy>,
-    ) -> RidSet {
+    /// The slots of the maximal subtrees covering `[lo, hi]` — or, for
+    /// results larger than `n/2`, the two complementary ranges (§2.1).
+    fn cover(&self, lo: Symbol, hi: Symbol) -> Cover<'_> {
         check_range(lo, hi, self.sigma);
-        if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
-        }
         let z = self.cardinality(lo, hi);
         if z == 0 {
-            return RidSet::from_positions(GapBitmap::empty(self.n));
+            return Cover::default();
         }
-        if 2 * z > self.n {
-            // §2.1: compute the two complementary queries and return their
-            // union as a complement.
-            let mut cover = Vec::new();
+        let complemented = 2 * z > self.n;
+        let mut subtrees = Vec::new();
+        if complemented {
             if lo > 0 {
-                cover.extend(self.canonical_cover(0, lo - 1));
+                subtrees.extend(self.canonical_cover(0, lo - 1));
             }
             if hi + 1 < self.sigma {
-                cover.extend(self.canonical_cover(hi + 1, self.sigma - 1));
+                subtrees.extend(self.canonical_cover(hi + 1, self.sigma - 1));
             }
-            RidSet::from_complement(self.merge_cover(&cover, io, strategy))
         } else {
-            let cover = self.canonical_cover(lo, hi);
-            RidSet::from_positions(self.merge_cover(&cover, io, strategy))
+            subtrees = self.canonical_cover(lo, hi);
+        }
+        Cover {
+            slots: subtrees
+                .iter()
+                .map(|&(level, idx)| (&self.levels[level], idx as usize))
+                .collect(),
+            complemented,
         }
     }
 }
@@ -228,7 +207,20 @@ impl SecondaryIndex for UniformTreeIndex {
     }
 
     fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-        self.query_planned(lo, hi, io, None)
+        self.cover(lo, hi).query(&self.disk, io, self.n, None)
+    }
+
+    fn try_query_words(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        io: &IoSession,
+        words: &mut [u64],
+    ) -> Result<(), ReadError> {
+        psi_io::catch_read(io, || {
+            self.cover(lo, hi)
+                .query_words(&self.disk, io, self.n, words)
+        })
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {

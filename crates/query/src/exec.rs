@@ -6,16 +6,18 @@
 //! alphabet range query per condition (each under its own fresh
 //! [`IoSession`], so the reported cost is the sum of the per-index
 //! operations — including every skip-directory lift those queries
-//! charge), and combines the compressed results with the planned
-//! strategy. All strategies consume identical covers, so their simulated
-//! I/O is identical by construction; `tests/io_parity.rs` asserts it the
-//! way PR 2's forced-heap replay pins the merge planner.
+//! charge), and combines the results with the planned strategy: `Gallop`
+//! and `Probe` intersect compressed results, while `Scan` evaluates each
+//! condition into a full-universe word array, ANDs the arrays and encodes
+//! once. All strategies consume identical covers, so their simulated I/O
+//! is identical by construction; `tests/io_parity.rs` asserts it the way
+//! the forced-heap replay pins the merge planner.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
 
-use psi_api::{naive_query, RidSet, SecondaryIndex, Symbol};
-use psi_bits::GapBitmap;
+use psi_api::{naive_query, ReadError, RidSet, SecondaryIndex, Symbol};
+use psi_bits::{merge, GapBitmap};
 use psi_io::{ErrorClass, IoSession, IoStats};
 use psi_workloads::Table;
 
@@ -356,9 +358,10 @@ impl IndexedTable {
         self.run(query, plan)
     }
 
-    /// Answers one condition by scanning its attached source column —
-    /// the degraded path for quarantined attributes. Charges no
-    /// simulated I/O (the scan reads table memory, not index payload).
+    /// Answers one condition's positive range (negation is the caller's)
+    /// by scanning its attached source column — the degraded path for
+    /// quarantined attributes. Charges no simulated I/O (the scan reads
+    /// table memory, not index payload).
     fn scan_condition(
         &self,
         col: &IndexedColumn,
@@ -368,53 +371,93 @@ impl IndexedTable {
             .sources
             .get(&col.name)
             .ok_or_else(|| QueryError::Quarantined(col.name.clone()))?;
-        let base = match Self::clamp(col, cond) {
+        Ok(match Self::clamp(col, cond) {
             None => RidSet::from_positions(GapBitmap::empty(self.n)),
             Some((lo, hi)) => naive_query(data, lo, hi),
+        })
+    }
+
+    /// Answers one condition's positive range through `read` — the
+    /// index's [`SecondaryIndex::try_query`] or
+    /// [`SecondaryIndex::try_query_words`] — or the degraded scan. This
+    /// is the fault policy of both condition paths, per [`ErrorClass`]: a
+    /// corrupt fetch quarantines its extent and answers the condition by
+    /// table scan (the error surfaces only if no source column is
+    /// attached); transient and permanent failures propagate as
+    /// [`QueryError::Read`] — by the time they reach here the per-session
+    /// retry budget is spent, and no rebuild would change the outcome.
+    fn answer<T>(
+        &self,
+        col: &IndexedColumn,
+        cond: &AttrCondition,
+        read: impl FnOnce(&dyn SecondaryIndex, Symbol, Symbol) -> Result<T, ReadError>,
+    ) -> Result<Answer<T>, QueryError> {
+        if self.is_quarantined(&cond.attr) {
+            return self.scan_condition(col, cond).map(Answer::Scanned);
+        }
+        let Some((lo, hi)) = Self::clamp(col, cond) else {
+            return Ok(Answer::Empty);
         };
-        Ok(if cond.negated { base.negate() } else { base })
+        match read(col.index.as_ref(), lo, hi) {
+            Ok(v) => Ok(Answer::Index(v)),
+            Err(e) if e.class == ErrorClass::Corrupt => {
+                let fresh = self
+                    .quarantine_lock()
+                    .entry(cond.attr.clone())
+                    .or_default()
+                    .insert(e.extent.0);
+                if fresh {
+                    query_metrics().quarantine_events.inc();
+                }
+                self.scan_condition(col, cond)
+                    .map(Answer::Scanned)
+                    .map_err(|_| QueryError::Read(e))
+            }
+            Err(e) => Err(QueryError::Read(e)),
+        }
     }
 
     /// Runs one condition's index query under a fresh session, returning
     /// the (possibly negated) compressed result, the session stats, and
     /// whether the condition was answered degraded.
-    ///
-    /// Fault handling, per [`ErrorClass`]: a corrupt fetch quarantines
-    /// its extent and retries the condition as a table scan (the error
-    /// surfaces only if no source column is attached); transient and
-    /// permanent failures propagate as [`QueryError::Read`] — by the
-    /// time they reach here the per-session retry budget is spent, and
-    /// no rebuild would change the outcome.
     fn eval_condition(&self, cond: &AttrCondition) -> Result<(RidSet, IoStats, bool), QueryError> {
         let col = self.column(&cond.attr)?;
-        if self.is_quarantined(&cond.attr) {
-            let rows = self.scan_condition(col, cond)?;
-            return Ok((rows, IoStats::default(), true));
-        }
         let io = IoSession::new();
-        let base = match Self::clamp(col, cond) {
-            None => RidSet::from_positions(GapBitmap::empty(self.n)),
-            Some((lo, hi)) => match col.index.try_query(lo, hi, &io) {
-                Ok(rows) => rows,
-                Err(e) if e.class == ErrorClass::Corrupt => {
-                    let fresh = self
-                        .quarantine_lock()
-                        .entry(cond.attr.clone())
-                        .or_default()
-                        .insert(e.extent.0);
-                    if fresh {
-                        query_metrics().quarantine_events.inc();
-                    }
-                    let rows = self
-                        .scan_condition(col, cond)
-                        .map_err(|_| QueryError::Read(e))?;
-                    return Ok((rows, io.stats(), true));
-                }
-                Err(e) => return Err(QueryError::Read(e)),
-            },
-        };
+        let (base, fell_back) =
+            match self.answer(col, cond, |index, lo, hi| index.try_query(lo, hi, &io))? {
+                Answer::Index(rows) => (rows, false),
+                Answer::Empty => (RidSet::from_positions(GapBitmap::empty(self.n)), false),
+                Answer::Scanned(rows) => (rows, true),
+            };
         let rows = if cond.negated { base.negate() } else { base };
-        Ok((rows, io.stats(), false))
+        Ok((rows, io.stats(), fell_back))
+    }
+
+    /// [`Self::eval_condition`] into `words`, a zeroed full-universe word
+    /// array: the rows land as bits and a negated condition is inverted
+    /// within `n`. A read that fails part-way leaves partial words; they
+    /// are discarded before the degraded scan's rows are written.
+    fn eval_condition_words(
+        &self,
+        cond: &AttrCondition,
+        words: &mut [u64],
+    ) -> Result<(IoStats, bool), QueryError> {
+        let col = self.column(&cond.attr)?;
+        let io = IoSession::new();
+        let fell_back = match self.answer(col, cond, |index, lo, hi| {
+            index.try_query_words(lo, hi, &io, words)
+        })? {
+            Answer::Index(()) | Answer::Empty => false,
+            Answer::Scanned(rows) => {
+                words.fill(0);
+                merge::or_positions(words, 0, rows.iter());
+                true
+            }
+        };
+        if cond.negated {
+            merge::invert_within(words, self.n);
+        }
+        Ok((io.stats(), fell_back))
     }
 
     fn run(&self, query: &ConjunctiveQuery, plan: Plan) -> Result<QueryOutcome, QueryError> {
@@ -445,14 +488,35 @@ impl IndexedTable {
                 trace,
             });
         }
+        let scan = plan.strategy == CombineStrategy::Scan;
         let mut io = IoStats::default();
         let mut degraded = Vec::new();
         let mut results = Vec::with_capacity(plan.order.len());
+        // Scan: the running AND of the conditions' word arrays, and the
+        // array the next condition is evaluated into.
+        let (mut acc, mut words) = (Vec::new(), Vec::new());
         let mut conditions = Vec::with_capacity(plan.order.len());
         for (k, &i) in plan.order.iter().enumerate() {
             let cond = &query.conditions[i];
             let c0 = t0.map(|_| std::time::Instant::now());
-            let (rows, stats, fell_back) = self.eval_condition(cond)?;
+            let (actual, stats, fell_back) = if scan {
+                let target = if k == 0 { &mut acc } else { &mut words };
+                target.clear();
+                target.resize(merge::universe_words(self.n), 0);
+                let (stats, fell_back) = self.eval_condition_words(cond, target)?;
+                let actual = target.iter().map(|w| u64::from(w.count_ones())).sum();
+                if k > 0 {
+                    for (a, w) in acc.iter_mut().zip(&words) {
+                        *a &= w;
+                    }
+                }
+                (actual, stats, fell_back)
+            } else {
+                let (rows, stats, fell_back) = self.eval_condition(cond)?;
+                let actual = rows.cardinality();
+                results.push(rows);
+                (actual, stats, fell_back)
+            };
             io = io.merged(&stats);
             if fell_back && !degraded.contains(&cond.attr) {
                 degraded.push(cond.attr.clone());
@@ -461,12 +525,11 @@ impl IndexedTable {
                 attr: cond.attr.clone(),
                 negated: cond.negated,
                 estimate: plan.estimates[k],
-                actual: rows.cardinality(),
+                actual,
                 blocks_read: stats.reads,
                 elapsed_ns: c0.map_or(0, |t| t.elapsed().as_nanos() as u64),
                 degraded: fell_back,
             });
-            results.push(rows);
         }
         degraded.sort();
         let rows = match plan.strategy {
@@ -476,7 +539,7 @@ impl IndexedTable {
                 iter.fold(first, |acc, r| acc.intersect(&r))
             }
             CombineStrategy::Probe => probe_combine(&results, self.n),
-            CombineStrategy::Scan => coscan_combine(&results, self.n),
+            CombineStrategy::Scan => encode_words(acc, self.n),
         };
         let trace = PlanTrace {
             strategy: plan.strategy,
@@ -540,44 +603,28 @@ fn probe_combine(results: &[RidSet], universe: u64) -> RidSet {
     RidSet::from_positions(GapBitmap::from_sorted_iter(positions, universe))
 }
 
-/// Linear k-way co-scan: advance all logical streams in lockstep,
-/// emitting positions present in every one. `O(Σ zᵢ)` — the fallback for
-/// dense, non-selective inputs where no gallop can jump.
-fn coscan_combine(results: &[RidSet], universe: u64) -> RidSet {
-    let mut iters: Vec<_> = results.iter().map(|r| r.iter().peekable()).collect();
-    let mut out = Vec::new();
-    // `bound` is the smallest position any stream may still contribute;
-    // each pass advances every stream to it. A pass either agrees on one
-    // position (emitted) or raises the bound — so the scan is linear in
-    // the summed logical sizes.
-    let mut bound = 0u64;
-    'outer: loop {
-        let mut max = bound;
-        let mut agree = true;
-        for it in iters.iter_mut() {
-            while it.peek().is_some_and(|&p| p < max) {
-                it.next();
-            }
-            match it.peek() {
-                None => break 'outer,
-                Some(&p) if p > max => {
-                    max = p;
-                    agree = false;
-                }
-                Some(_) => {}
-            }
-        }
-        if agree {
-            out.push(max);
-            bound = max + 1;
-            for it in iters.iter_mut() {
-                it.next();
-            }
-        } else {
-            bound = max;
-        }
+/// Encodes a dense conjunction's final word array — the only encode on
+/// the [`CombineStrategy::Scan`] path — storing the complement when the
+/// result is larger than `n/2` (§2.1).
+fn encode_words(mut words: Vec<u64>, n: u64) -> RidSet {
+    let count: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
+    if 2 * count > n {
+        merge::invert_within(&mut words, n);
+        RidSet::from_complement(GapBitmap::from_words(&words, n))
+    } else {
+        RidSet::from_positions(GapBitmap::from_words(&words, n))
     }
-    RidSet::from_positions(GapBitmap::from_sorted(&out, universe))
+}
+
+/// Where one condition's positive rows came from ([`IndexedTable::answer`]).
+enum Answer<T> {
+    /// The index's read returned `T`.
+    Index(T),
+    /// The range clamps to nothing in the column's alphabet.
+    Empty,
+    /// The degraded table scan answered: the attribute is quarantined, or
+    /// its read just met corruption.
+    Scanned(RidSet),
 }
 
 #[cfg(test)]
@@ -946,11 +993,14 @@ mod tests {
 
     #[test]
     fn planner_orders_by_selectivity() {
-        // Condition 0 is broad (6/8 rows), condition 1 selective (1/8).
-        let t = indexed(&[
-            ("broad", 2, vec![0, 0, 0, 0, 1, 0, 0, 1]),
-            ("narrow", 8, vec![0, 1, 2, 3, 4, 5, 6, 7]),
-        ]);
+        // Condition 0 is broad (6 rows), condition 1 selective (1 row).
+        // 120 filler rows match neither, so the selective condition
+        // stays below the Scan boundary (1 < 128/64).
+        let mut broad: Vec<Symbol> = vec![0, 0, 0, 0, 1, 0, 0, 1];
+        let mut narrow: Vec<Symbol> = (0..8).collect();
+        broad.resize(128, 1);
+        narrow.resize(128, 7);
+        let t = indexed(&[("broad", 2, broad), ("narrow", 8, narrow)]);
         let q = Predicate::and([Predicate::point("broad", 0), Predicate::point("narrow", 3)])
             .normalize()
             .unwrap();

@@ -1,7 +1,8 @@
 //! The cost-based conjunction planner.
 //!
 //! Every strategy issues the *same* per-attribute index queries (the same
-//! covers, hence identical simulated I/O — asserted by the replay tests);
+//! covers, hence identical simulated I/O — asserted by the replay tests,
+//! whether a condition answers compressed or into a word array);
 //! what the planner chooses is the CPU-side combine and, crucially, the
 //! *order*: intersecting in ascending estimated-cardinality order keeps
 //! every intermediate result no larger than the smallest input, so the
@@ -24,10 +25,13 @@ pub enum CombineStrategy {
     /// result — no intermediate re-encoding. Wins when one condition is
     /// far more selective than the rest.
     Probe,
-    /// Linear k-way co-scan of all logical streams. When every condition
-    /// is non-selective the results are dense (mostly complement
-    /// representations), no gallop can jump, and the branch-free linear
-    /// scan is the cheapest way through.
+    /// Word-array AND: every condition is evaluated straight into a
+    /// full-universe word array
+    /// ([`psi_api::SecondaryIndex::try_query_words`]; a dense cover merge
+    /// ORs its lifted slots in without re-encoding), the arrays are ANDed
+    /// word by word, and only the final answer is encoded. When every
+    /// condition is dense no gallop can jump, and skipping the
+    /// per-condition encode and decode is the cheapest way through.
     Scan,
 }
 
@@ -37,10 +41,16 @@ pub enum CombineStrategy {
 /// (and re-encoding) intermediate results of size up to `z_second`.
 pub const PROBE_RATIO: u64 = 8;
 
-/// Scan is chosen when even the smallest estimate exceeds this fraction
-/// of the universe (numerator/denominator): every input is dense, so
-/// leapfrogging degenerates to stepping and the linear co-scan wins.
-pub const SCAN_MIN_FRACTION: (u64, u64) = (1, 2);
+/// Scan is chosen when even the smallest estimate reaches this fraction
+/// of the universe (numerator/denominator): `z_min ≥ n/64`. The bound is
+/// a size argument, not a measured crossover: at that density one
+/// condition's `n/64` words are no larger than the smallest input's
+/// decoded positions, and the word arrays skip every per-condition
+/// encode. Unverified: the benchmark's dense conjunctions sit at `n/4`,
+/// so any value up to that gives the same result there, and no workload
+/// yet runs a conjunction below the boundary to show where Gallop or
+/// Probe win.
+pub const SCAN_MIN_FRACTION: (u64, u64) = (1, 64);
 
 /// An execution plan for one conjunctive query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +74,7 @@ pub fn plan_conjunction(n: u64, estimates: &[u64]) -> Plan {
         [] | [_] => CombineStrategy::Gallop,
         [z_min, rest @ ..] => {
             let (num, den) = SCAN_MIN_FRACTION;
-            if z_min.saturating_mul(den) > n.saturating_mul(num) {
+            if z_min.saturating_mul(den) >= n.saturating_mul(num) {
                 CombineStrategy::Scan
             } else if z_min.saturating_mul(PROBE_RATIO) <= rest[0] {
                 CombineStrategy::Probe
@@ -102,6 +112,15 @@ mod tests {
     fn dense_everything_scans() {
         let p = plan_conjunction(1000, &[800, 900, 700]);
         assert_eq!(p.strategy, CombineStrategy::Scan);
+    }
+
+    #[test]
+    fn scan_starts_at_one_sixty_fourth_of_the_universe() {
+        let n = 64 * 1000;
+        let below = plan_conjunction(n, &[n / 64 - 1, n / 64]);
+        assert_eq!(below.strategy, CombineStrategy::Gallop);
+        let at = plan_conjunction(n, &[n / 64, n / 64]);
+        assert_eq!(at.strategy, CombineStrategy::Scan);
     }
 
     #[test]

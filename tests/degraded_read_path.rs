@@ -17,7 +17,7 @@ use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use psi::io::{ErrorClass, Scrubber};
-use psi::query::{IndexedColumn, QueryError};
+use psi::query::{CombineStrategy, IndexedColumn, QueryError};
 use psi::store::format::read_header;
 use psi::store::{open, save, Backend, OpenOptions, Opened, PersistIndex};
 use psi::workloads::{people_table, Table};
@@ -87,6 +87,13 @@ fn indexed_from_files(table: &Table, dir: &Path) -> IndexedTable {
 /// damage. Header and metadata pages are untouched — the file still
 /// opens. Returns the number of blocks corrupted.
 fn corrupt_all_payload(path: &Path) -> u64 {
+    corrupt_payload(path, false)
+}
+
+/// [`corrupt_all_payload`], or with `last_only` just the last block of
+/// each live extent: reads of the leading blocks still verify, so a
+/// query fails part-way through a cover.
+fn corrupt_payload(path: &Path, last_only: bool) -> u64 {
     let (_, header) = read_header(path).expect("read store header");
     let mut file = std::fs::OpenOptions::new()
         .read(true)
@@ -101,7 +108,8 @@ fn corrupt_all_payload(path: &Path) -> u64 {
                 continue;
             }
             let blocks = ext.bit_len.div_ceil(volume.config.block_bits).max(1);
-            for b in 0..blocks {
+            let first = if last_only { blocks - 1 } else { 0 };
+            for b in first..blocks {
                 let off = ext.file_off + b * page + 3;
                 let mut byte = [0u8; 1];
                 file.seek(SeekFrom::Start(off)).expect("seek");
@@ -215,6 +223,55 @@ fn corruption_without_source_data_is_a_typed_error() {
             );
             assert!(!e.message.is_empty());
         }
+        other => panic!("expected a typed corrupt read error, got {other:?}"),
+    }
+}
+
+/// The word-array combine under faults. `age` in [20, 100] holds more
+/// than half the rows, so its index lifts the complementary tails into
+/// the condition's words and inverts them; with only each extent's last
+/// block corrupt, the read fails after some tail slots were already
+/// ORed in. Forced `Scan` must discard those words before the scan
+/// fallback answers — kept, they would add tail rows to the answer —
+/// in either condition order. Without a source column the same fault
+/// is a typed read error.
+#[test]
+fn forced_scan_discards_partial_words_of_a_corrupt_condition() {
+    let dir = test_dir("scan_words");
+    let table = people_table(1500, 17);
+    save_columns(&table, &dir);
+    corrupt_payload(&col_path(&dir, "age"), true);
+    let predicate = Predicate::and([Predicate::range("age", 20, 100), Predicate::point("sex", 0)]);
+    let query = predicate.normalize().expect("normalize");
+    let want = predicate.naive_rows(&table);
+    assert!(!want.is_empty(), "fixture predicate selects no rows");
+
+    for order in [[0, 1], [1, 0]] {
+        let indexed = indexed_from_files(&table, &dir);
+        let out = indexed
+            .execute_forced(&query, &order, CombineStrategy::Scan)
+            .expect("degraded execute");
+        assert!(indexed.is_quarantined("age"), "order {order:?}");
+        assert_eq!(out.degraded, vec!["age".to_string()]);
+        assert_eq!(
+            out.rows.to_vec(),
+            want,
+            "order {order:?}: rows must stay exact"
+        );
+    }
+
+    let columns = table
+        .columns
+        .iter()
+        .map(|col| IndexedColumn {
+            name: col.name.clone(),
+            sigma: col.sigma,
+            index: Box::new(open_column(&dir, &col.name, true).index) as Box<dyn SecondaryIndex>,
+        })
+        .collect();
+    let bare = IndexedTable::from_columns(columns);
+    match bare.execute_forced(&query, &[0, 1], CombineStrategy::Scan) {
+        Err(QueryError::Read(e)) => assert_eq!(e.class, ErrorClass::Corrupt),
         other => panic!("expected a typed corrupt read error, got {other:?}"),
     }
 }

@@ -197,7 +197,17 @@ pub fn save_all() -> Vec<&'static str> {
 /// Ensures the store files exist (reopening in the same process when the
 /// suite runs standalone; the CI job runs `persistence_save` first in a
 /// separate process and pins `PSI_PERSIST_DIR`).
+///
+/// The tests of one binary run in parallel and all call this, so the
+/// check and the save run once per process: concurrent saves of the same
+/// store file would race on its temporary file, and a test could open a
+/// file another thread is still writing.
 pub fn ensure_saved() {
+    static SAVED: std::sync::Once = std::sync::Once::new();
+    SAVED.call_once(save_missing);
+}
+
+fn save_missing() {
     let missing = [
         "optimal",
         "uniform_tree",
