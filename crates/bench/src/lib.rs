@@ -2121,10 +2121,11 @@ pub fn e19_run(people: usize, qps: u64, seconds: f64) -> Vec<jsonout::JsonResult
     out
 }
 
-/// E20 — kernel layer: the SWAR gamma decoder (one or two chains) and
-/// the occupancy-word probe-skipping intersection, measured against
-/// their forced references in one process. Full-size run; returns the
-/// `kernel/*` rows for `BENCH_NNNN.json`.
+/// E20 — kernel layer: the SWAR gamma decoder (one or two chains), the
+/// bitset re-encode, the pooled slot lift and the occupancy-word
+/// probe-skipping intersection, the decode and intersection measured
+/// against their forced references in one process. Full-size run;
+/// returns the `kernel/*` rows for `BENCH_NNNN.json`.
 pub fn e20() -> Vec<jsonout::JsonResult> {
     e20_run(100_000, 2_000, 2.0)
 }
@@ -2134,7 +2135,10 @@ pub fn e20() -> Vec<jsonout::JsonResult> {
 ///
 /// Emitted rows: `kernel/decode_{sparse13,wide4093,dense,uniform4}` (batch decode
 /// through whatever kernel dispatch picks — single or dual chain, burst
-/// test on or off — with `per_element_ns` carrying the headline number)
+/// test on or off — with `per_element_ns` carrying the headline number),
+/// `kernel/reencode_uniform{4,8}` (`GapBitmap::from_words` at densities
+/// ¼ and ⅛, per element), `kernel/lift_pooled` (`CutStream::copy_bitmap`
+/// of dense slots through a warm pool, per lifted word)
 /// and `kernel/intersect_probe_{skip,scalar}` (the same workload with
 /// occupancy skipping on vs. forced off via
 /// [`psi_bits::kernel::set_block_skip`]).
@@ -2213,6 +2217,82 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
             m,
             positions.len() as u64,
         );
+    }
+
+    // --- bitset re-encode: `from_words` over 2^20 positions, each
+    // present with probability ¼ or ⅛ — the shape of a dense cover
+    // merge's re-encode and of a `Scan` conjunction's final encode.
+    let universe = 1u64 << 20;
+    for (name, den) in [("uniform4", 4u32), ("uniform8", 8)] {
+        let positions: Vec<u64> = (0..universe)
+            .filter(|_| rng.gen_range(0..den) == 0)
+            .collect();
+        let mut words = vec![0u64; psi_bits::merge::universe_words(universe)];
+        psi_bits::merge::or_positions(&mut words, 0, positions.iter().copied());
+        let reencodes_before = kernel::REENCODE_BITSET.get();
+        let m = jsonout::measure(|| GapBitmap::from_words(&words, universe).size_bits());
+        let got = GapBitmap::from_words(&words, universe);
+        let want = GapBitmap::from_sorted(&positions, universe);
+        assert!(
+            got == want && got.skip_dir() == want.skip_dir(),
+            "re-encode of {name} must equal the per-element encode, directory included"
+        );
+        assert!(
+            kernel::REENCODE_BITSET.get() > reencodes_before,
+            "the bitset re-encode never counted the {name} batch"
+        );
+        push(
+            &mut out,
+            format!("kernel/reencode_{name}"),
+            m,
+            positions.len() as u64,
+        );
+    }
+
+    // --- pooled lift: `copy_bitmap` of 16 dense slots (density ¼, 2^16
+    // positions each) out of a warm pool, as a dense cover merge lifts
+    // them; `elements` counts the lifted 64-bit words.
+    {
+        use psi_io::{BufferPool, Disk, ExtentId, MemStore, StoredExtent};
+        let cfg = IoConfig::default();
+        let mut built = Disk::new(cfg);
+        let setup = IoSession::untracked();
+        let mut cut = cutstream::CutStream::new(&mut built, 0, cutstream::Slack::None);
+        let slots: Vec<usize> = (0..16u64)
+            .map(|s| {
+                let positions: Vec<u64> = (s << 16..(s + 1) << 16)
+                    .filter(|_| rng.gen_range(0..4u32) == 0)
+                    .collect();
+                cut.push_bitmap(&mut built, positions, &setup)
+            })
+            .collect();
+        let stored: Vec<StoredExtent> = (0..built.num_extents())
+            .map(|i| StoredExtent {
+                bit_len: built.extent_bits(ExtentId(i as u32)),
+                freed: false,
+            })
+            .collect();
+        let pool = std::sync::Arc::new(BufferPool::new(
+            std::sync::Arc::new(MemStore::from_disk(&built)),
+            4096,
+            cfg.block_bits,
+        ));
+        let disk = Disk::from_stored(cfg, &stored, pool);
+        let lift = |disk: &Disk| -> Vec<GapBitmap> {
+            let io = IoSession::new();
+            slots
+                .iter()
+                .map(|&i| cut.copy_bitmap(disk, i, &io, universe))
+                .collect()
+        };
+        assert_eq!(
+            lift(&disk),
+            lift(&built),
+            "pooled lift must copy the resident bits"
+        );
+        let words: u64 = slots.iter().map(|&i| cut.slot(i).len.div_ceil(64)).sum();
+        let m = jsonout::measure(|| lift(&disk).len());
+        push(&mut out, "kernel/lift_pooled".into(), m, words);
     }
 
     // --- sparse-probe-vs-dense intersection: B is clusters of 100

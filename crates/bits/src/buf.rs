@@ -1,5 +1,7 @@
 //! In-memory bit buffer.
 
+use psi_io::DiskReader;
+
 use crate::{BitSink, BitSource};
 
 /// A growable in-memory bit buffer, MSB-first within 64-bit words.
@@ -135,15 +137,20 @@ impl BitBuf {
         }
     }
 
-    /// Appends `bits` bits drained from `src` (used to lift disk-resident
-    /// code streams into memory; the source is charged as it is read).
-    pub fn extend_from_source<S: BitSource>(&mut self, src: &mut S, bits: u64) {
-        let mut remaining = bits;
-        while remaining > 0 {
-            let k = remaining.min(64) as u32;
-            self.push_bits(src.get_bits(k), k);
-            remaining -= u64::from(k);
-        }
+    /// Appends the next `bits` bits of `src` to a word-aligned buffer:
+    /// the lift of a stored code stream into memory, one block at a time
+    /// through [`DiskReader::read_bulk`], which charges the source as it
+    /// reads.
+    ///
+    /// # Panics
+    /// Panics if the buffer's length is not a multiple of 64.
+    pub fn extend_from_source(&mut self, src: &mut DiskReader<'_>, bits: u64) {
+        assert!(
+            self.bit_len.is_multiple_of(64),
+            "lift into an unaligned buffer"
+        );
+        src.read_bulk(bits, &mut self.words);
+        self.bit_len += bits;
     }
 
     /// Clears the buffer, retaining capacity.
@@ -178,18 +185,28 @@ impl BitSink for BitBuf {
     }
 }
 
+/// Word slots [`BitWriter`] opens at a time: few enough that it never
+/// touches much more of a generous reservation than it fills, enough
+/// that opening them is rare.
+const GROW_SLOTS: usize = 64;
+
 /// A word-accumulating append cursor over a [`BitBuf`] — the bulk encode
 /// path.
 ///
 /// [`BitBuf::push_bits`] pays a resize check, a word-index division and a
 /// two-word split on every call; a gamma encoder calling it per element
 /// spends more time in that bookkeeping than in the code arithmetic. The
-/// writer instead packs bits into a 64-bit register and touches the
-/// buffer's word vector once per *word*: `put_bits` is an or-shift into
-/// the register plus an occasional whole-word push. Dropping the writer
-/// (or calling [`Self::finish`]) flushes the partial register word, so
-/// the buffer is valid again afterwards; while the writer is live it
-/// holds the buffer mutably, so no reader can observe the detached tail.
+/// writer instead packs bits into a 64-bit register and splices each
+/// field in without a data-dependent branch: every `push_bits` stores the
+/// register into the current word slot, then selects what the register
+/// holds next — the field's spilled low bits if it filled the word (the
+/// slot then advances), else the word so far. The slots are the
+/// buffer's own words, opened a few at a time inside its reserved
+/// capacity, so encoders that reserve exactly (`reserve_bits`) never
+/// reallocate mid-stream. Dropping the writer (or calling
+/// [`Self::finish`]) trims the slots and restores the buffer's length;
+/// while the writer is live it holds the buffer mutably, so no reader
+/// can observe the detached tail.
 #[derive(Debug)]
 pub struct BitWriter<'a> {
     buf: &'a mut BitBuf,
@@ -197,20 +214,27 @@ pub struct BitWriter<'a> {
     /// are zero. Invariant: `fill < 64` between calls.
     acc: u64,
     fill: u32,
+    /// The buffer's words, taken out of it while the writer is live (a
+    /// local vector keeps its length and pointer in registers across
+    /// the stores): `acc` belongs in `slots[done]`.
+    slots: Vec<u64>,
+    /// Completed words.
+    done: usize,
 }
 
 impl<'a> BitWriter<'a> {
     /// Opens a writer appending at the end of `buf`. A partial final word
     /// is lifted into the accumulator so unaligned tails keep working.
     pub fn new(buf: &'a mut BitBuf) -> Self {
-        let fill = (buf.bit_len % 64) as u32;
-        let acc = if fill == 0 {
-            0
-        } else {
-            buf.bit_len -= u64::from(fill);
-            buf.words.pop().expect("partial bits imply a final word")
+        let mut w = BitWriter {
+            buf,
+            acc: 0,
+            fill: 0,
+            slots: Vec::new(),
+            done: 0,
         };
-        BitWriter { buf, acc, fill }
+        w.reopen();
+        w
     }
 
     /// Appends the low `k ≤ 64` bits of `value`.
@@ -221,28 +245,44 @@ impl<'a> BitWriter<'a> {
             return;
         }
         debug_assert!(k == 64 || value < (1u64 << k), "value wider than k bits");
-        let space = 64 - self.fill; // ≥ 1 by the fill invariant
-        if k < space {
-            self.acc |= value << (space - k);
-            self.fill += k;
-        } else {
-            // Fills the register exactly or spills: flush one word.
-            let word = self.acc | (value >> (k - space));
-            self.buf.words.push(word);
-            self.buf.bit_len += 64;
-            self.fill = k - space;
-            self.acc = if self.fill == 0 {
-                0
-            } else {
-                value << (64 - self.fill)
-            };
+        if self.done >= self.slots.len() {
+            self.grow();
         }
+        let field = value << (64 - k);
+        let word = self.acc | (field >> self.fill);
+        self.slots[self.done] = word;
+        let fill = self.fill + k;
+        let spilled = fill >= 64;
+        // The bits of `field` past the word's end, or the word so far.
+        // `(field << 1) << (63 - self.fill)` is `field << (64 - self.fill)`,
+        // and 0 when the register was empty.
+        self.acc = if spilled {
+            (field << 1) << (63 - self.fill)
+        } else {
+            word
+        };
+        self.done += usize::from(spilled);
+        self.fill = fill & 63;
+    }
+
+    /// Opens up to [`GROW_SLOTS`] more word slots: zero-filled within
+    /// the buffer's reserved capacity, and only once that is full (an
+    /// encoder without an exact reservation) past it, reallocating.
+    #[cold]
+    fn grow(&mut self) {
+        let (len, cap) = (self.slots.len(), self.slots.capacity());
+        let open = if len < cap {
+            (len + GROW_SLOTS).min(cap)
+        } else {
+            len + GROW_SLOTS
+        };
+        self.slots.resize(open, 0);
     }
 
     /// The logical bit length of the buffer, accumulator included.
     #[inline]
     pub fn len(&self) -> u64 {
-        self.buf.bit_len + u64::from(self.fill)
+        64 * self.done as u64 + u64::from(self.fill)
     }
 
     /// Whether nothing has been written (buffer and accumulator empty).
@@ -254,15 +294,36 @@ impl<'a> BitWriter<'a> {
     /// dropping the writer; provided for call sites that want the flush
     /// point explicit.
     pub fn finish(self) {}
+
+    /// Writes the accumulator back and trims the slots: the buffer is
+    /// valid (length and zero tail) until [`Self::reopen`].
+    fn settle(&mut self) {
+        self.slots.truncate(self.done);
+        if self.fill > 0 {
+            self.slots.push(self.acc);
+        }
+        self.buf.words = std::mem::take(&mut self.slots);
+        self.buf.bit_len = self.len();
+    }
+
+    /// Takes over the end of the (settled) buffer: lifts a partial final
+    /// word into the accumulator and opens the first word slots.
+    fn reopen(&mut self) {
+        self.fill = (self.buf.bit_len % 64) as u32;
+        self.done = (self.buf.bit_len / 64) as usize;
+        self.slots = std::mem::take(&mut self.buf.words);
+        self.acc = if self.fill == 0 {
+            0
+        } else {
+            self.slots[self.done]
+        };
+        self.slots.resize(self.done + 1, 0);
+    }
 }
 
 impl Drop for BitWriter<'_> {
     fn drop(&mut self) {
-        if self.fill > 0 {
-            self.buf.words.push(self.acc);
-            self.buf.bit_len += u64::from(self.fill);
-            self.fill = 0;
-        }
+        self.settle();
     }
 }
 
@@ -274,19 +335,11 @@ impl BitSink for BitWriter<'_> {
 
     fn put_bits_bulk(&mut self, words: &[u64], bit_len: u64) {
         if self.fill == 0 {
-            // Aligned: whole-word copy, then re-lift any partial tail so
-            // the accumulator invariant (buffer word-aligned) holds.
+            // Aligned: whole-word copy into the settled buffer, then
+            // re-open over it.
+            self.settle();
             self.buf.extend_from_words(words, bit_len);
-            let tail = (self.buf.bit_len % 64) as u32;
-            if tail != 0 {
-                self.fill = tail;
-                self.buf.bit_len -= u64::from(tail);
-                self.acc = self
-                    .buf
-                    .words
-                    .pop()
-                    .expect("partial bits imply a final word");
-            }
+            self.reopen();
         } else {
             let mut remaining = bit_len;
             for &w in words {
@@ -440,6 +493,65 @@ mod tests {
         // And further appends continue where the copy ended.
         a.push_bit(true);
         assert!(a.get_bit(161));
+    }
+
+    /// `BitWriter` against `BitBuf::push_bits`, field by field, from
+    /// aligned and unaligned starts, with bulk appends landing at aligned
+    /// and unaligned write heads.
+    #[test]
+    fn writer_matches_push_bits() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for prefix in [0u32, 1, 37, 64] {
+            let mut want = BitBuf::new();
+            if prefix > 0 {
+                want.push_bits(u64::MAX >> (64 - prefix), prefix);
+            }
+            let mut got = want.clone();
+            {
+                let mut w = BitWriter::new(&mut got);
+                for i in 0..3000 {
+                    let r = next();
+                    let k = (r % 65) as u32;
+                    if i % 97 == 0 {
+                        let bit_len = 64 + u64::from(k);
+                        let tail = if k == 0 {
+                            0
+                        } else {
+                            next() & u64::MAX << (64 - k)
+                        };
+                        let words = [next(), tail];
+                        w.put_bits_bulk(&words, bit_len);
+                        want.extend_from_words(&words, bit_len);
+                    } else {
+                        let v = if k == 64 { r } else { r & ((1 << k) - 1) };
+                        w.push_bits(v, k);
+                        want.push_bits(v, k);
+                    }
+                    assert_eq!(w.len(), want.len());
+                }
+            }
+            assert_eq!(got, want, "prefix {prefix}");
+        }
+    }
+
+    #[test]
+    fn writer_fills_an_exact_reservation_in_place() {
+        let mut b = BitBuf::with_capacity(64 * 100);
+        let reserved = b.capacity_bits();
+        {
+            let mut w = BitWriter::new(&mut b);
+            for _ in 0..64 * 100 / 5 {
+                w.push_bits(0b10101, 5);
+            }
+        }
+        assert_eq!(b.len(), 6400);
+        assert_eq!(b.capacity_bits(), reserved, "no reallocation");
     }
 
     #[test]

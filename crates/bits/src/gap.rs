@@ -137,65 +137,71 @@ impl GapBitmap {
     /// (bit `j` of `words[i]`) set means position `base + 64i + j` is in
     /// the set. This is the re-encode half of the dense merge path: one
     /// `trailing_zeros` scan per word instead of a per-element encoder
-    /// round trip, with whole words of unit gaps emitted for saturated
-    /// words. `base` must be 64-bit aligned; bits at or beyond
-    /// `universe - base` must be zero.
+    /// round trip, with a stretch of unit gaps emitted as one append.
+    /// `base` must be 64-bit aligned; bits at or beyond `universe - base`
+    /// must be zero.
     pub fn from_words(words: &[u64], universe: u64) -> Self {
         Self::from_words_span(words, 0, universe)
     }
 
     /// [`Self::from_words`] over the word-aligned span starting at `base`.
+    ///
+    /// The bookkeeping is per word, not per element. The universe check
+    /// tests each word's highest set bit, which bounds all of its bits.
+    /// The skip directory counts down to its next sample: a word that
+    /// holds no sample folds into the latest entry with one `cover` of
+    /// its bucket, and a word that holds one (at most one: `K` = 64) is
+    /// split at the sample, whose entry is recorded between the halves.
+    /// Because `base` is word-aligned, every word is exactly one
+    /// occupancy bucket of 64 positions, so the summaries equal a
+    /// per-element encode's.
     pub fn from_words_span(words: &[u64], base: u64, universe: u64) -> Self {
         assert!(base.is_multiple_of(64), "span base must be word-aligned");
         let count: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
         let reserved = Self::reserve_bits(count, universe);
         let mut bits = BitBuf::with_capacity(reserved);
         let mut skip = SkipDirectory::new(SKIP_SAMPLE);
+        // A word holds 64 elements at most, so at most one sample.
+        const { assert!(SKIP_SAMPLE >= 64) };
+        let k = u64::from(SKIP_SAMPLE);
+        // Elements before the next sample; the first element is one.
+        let mut until = 0u64;
         let mut index = 0u64;
-        let mut prev: Option<u64> = None;
+        // The previous position, with −1 before the first: the first
+        // element's code is then `gamma(p₀ + 1)` like every other gap.
+        let mut prev = u64::MAX;
         let mut sink = BitWriter::new(&mut bits);
         for (i, &word) in words.iter().enumerate() {
-            let word_base = base + 64 * i as u64;
-            // Saturated word continuing a run: 64 unit gaps, one append.
-            if word == u64::MAX && word_base > 0 && prev == Some(word_base - 1) {
-                assert!(
-                    word_base + 63 < universe,
-                    "position {} outside universe {universe}",
-                    word_base + 63
-                );
-                sink.push_bits(u64::MAX, 64);
-                // Runs cover every element index, so the sample due in
-                // this word (if any) is a fixed offset into it. A 64-bit
-                // word is exactly one occupancy bucket: elements before
-                // the sample (if any exist) belong to the previous
-                // entry's block, elements from the sample on are bit 0 of
-                // the new entry, so the summaries stay exactly equal to a
-                // per-element encode of the same set.
-                let next_sample = index.next_multiple_of(u64::from(SKIP_SAMPLE));
-                if next_sample > index {
-                    skip.cover(word_base);
-                }
-                if next_sample < index + 64 {
-                    let d = next_sample - index;
-                    skip.observe(next_sample, word_base + d, sink.len() - 63 + d);
-                }
-                prev = Some(word_base + 63);
-                index += 64;
+            if word == 0 {
                 continue;
             }
-            let mut w = word;
-            while w != 0 {
-                let pos = word_base + u64::from(w.trailing_zeros());
-                assert!(pos < universe, "position {pos} outside universe {universe}");
-                match prev {
-                    None => codes::put_gamma(&mut sink, pos + 1),
-                    Some(p) => codes::put_gamma(&mut sink, pos - p),
+            let word_base = base + 64 * i as u64;
+            let top = word_base + u64::from(63 - word.leading_zeros());
+            assert!(top < universe, "position {top} outside universe {universe}");
+            let c = u64::from(word.count_ones());
+            if until >= c {
+                skip.cover(word_base);
+                emit_word_codes(&mut sink, &mut prev, word_base, word);
+                until -= c;
+            } else {
+                if until > 0 {
+                    // Elements before the sample close the latest entry.
+                    skip.cover(word_base);
                 }
-                skip.observe(index, pos, sink.len());
-                prev = Some(pos);
-                index += 1;
-                w &= w - 1;
+                let mut rest = word;
+                for _ in 0..until {
+                    rest &= rest - 1;
+                }
+                let sample = rest & rest.wrapping_neg();
+                let head = word & (sample << 1).wrapping_sub(1);
+                emit_word_codes(&mut sink, &mut prev, word_base, head);
+                skip.observe(index + until, prev, sink.len());
+                // The rest of the word is the new entry's own bucket,
+                // which its occupancy seed already marks.
+                emit_word_codes(&mut sink, &mut prev, word_base, word & !head);
+                until += k - c;
             }
+            index += c;
         }
         sink.finish();
         kernel::REENCODE_BITSET.add(1);
@@ -510,6 +516,32 @@ impl GapBitmap {
             bits,
             skip: OnceLock::new(),
         }
+    }
+}
+
+/// Appends the gap codes of the positions `word_base + j` for the set
+/// bits `j` of `word`, after `prev` (−1 before the first element), and
+/// advances `prev`. Set bits that continue a stretch of consecutive
+/// positions from `prev` are unit gaps, one `1` bit each, appended with
+/// one call (a saturated word inside a run is 64 of them).
+#[inline]
+fn emit_word_codes(sink: &mut BitWriter<'_>, prev: &mut u64, word_base: u64, word: u64) {
+    if word == 0 {
+        return;
+    }
+    let lo = word.trailing_zeros();
+    let n = word.count_ones();
+    if word_base + u64::from(lo) == prev.wrapping_add(1) && word >> lo == u64::MAX >> (64 - n) {
+        sink.push_bits(u64::MAX >> (64 - n), n);
+        *prev = word_base + u64::from(lo + n - 1);
+        return;
+    }
+    let mut w = word;
+    while w != 0 {
+        let pos = word_base + u64::from(w.trailing_zeros());
+        codes::put_gamma(sink, pos.wrapping_sub(*prev));
+        *prev = pos;
+        w &= w - 1;
     }
 }
 
@@ -1008,6 +1040,64 @@ mod tests {
         assert_eq!(b.skip_dir(), reference.skip_dir());
     }
 
+    /// `from_words_span` against `from_sorted` of the same positions:
+    /// equal bitmaps and equal skip directories (positions, bit offsets
+    /// and occupancy words).
+    fn assert_words_encode_like_sorted(words: &[u64], base: u64, universe: u64) {
+        let positions: Vec<u64> = (0..64 * words.len() as u64)
+            .filter(|&i| words[(i / 64) as usize] >> (i % 64) & 1 == 1)
+            .map(|i| base + i)
+            .collect();
+        let got = GapBitmap::from_words_span(words, base, universe);
+        let want = GapBitmap::from_sorted(&positions, universe);
+        assert_eq!(got, want, "base {base}, universe {universe}");
+        assert_eq!(got.skip_dir(), want.skip_dir(), "directory, base {base}");
+    }
+
+    /// Sets positions `[lo, hi)` (relative to the span) in `words`.
+    fn set_run(words: &mut [u64], lo: u64, hi: u64) {
+        for i in lo..hi {
+            words[(i / 64) as usize] |= 1 << (i % 64);
+        }
+    }
+
+    #[test]
+    fn from_words_directory_samples_on_and_off_word_edges() {
+        // A run from bit `s` puts every sample at bit `s` of its word:
+        // the word's first bit, its middle, its last; the universe ends
+        // right after the run, so position universe − 1 is set.
+        for base in [0, 64, 640] {
+            for s in [0, 1, 31, 63] {
+                let mut words = vec![0u64; 12];
+                set_run(&mut words, s, 64 * 12);
+                assert_words_encode_like_sorted(&words, base, base + 64 * 12);
+                // The same run with every third position dropped: a
+                // sample every 64 elements now drifts across the words.
+                for i in (s..64 * 12).step_by(3) {
+                    words[(i / 64) as usize] &= !(1 << (i % 64));
+                }
+                assert_words_encode_like_sorted(&words, base, base + 64 * 12 + 7);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside universe")]
+    fn from_words_rejects_a_bit_at_universe() {
+        let mut words = vec![0u64; 4];
+        set_run(&mut words, 3, 5);
+        set_run(&mut words, 200, 201);
+        let _ = GapBitmap::from_words_span(&words, 64, 64 + 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside universe")]
+    fn from_words_rejects_a_run_past_universe() {
+        let mut words = vec![0u64; 4];
+        set_run(&mut words, 0, 256);
+        let _ = GapBitmap::from_words(&words, 250);
+    }
+
     #[test]
     fn from_words_span_offsets_the_scan() {
         let base = 128u64;
@@ -1071,6 +1161,62 @@ mod tests {
     fn sorted_unique(max: u64, len: usize) -> impl Strategy<Value = Vec<u64>> {
         proptest::collection::btree_set(0..max, 0..len)
             .prop_map(|s| s.into_iter().collect::<Vec<_>>())
+    }
+
+    /// A word array of `nwords` words with each bit set with probability
+    /// `1/den`, plus `runs` saturated stretches of up to 300 positions;
+    /// bits at or past `universe − base` cleared, and position
+    /// `universe − 1` set when `top`. Returns `(words, universe)`.
+    #[allow(clippy::type_complexity)]
+    fn word_set(
+        ((den, nwords, base), (seed, runs), (cut, top)): (
+            (u64, usize, u64),
+            (u64, u64),
+            (u64, bool),
+        ),
+    ) -> (Vec<u64>, u64) {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let bits = 64 * nwords as u64;
+        let mut words: Vec<u64> = (0..nwords)
+            .map(|_| (0..64).fold(0u64, |w, b| w | u64::from(next() % den == 0) << b))
+            .collect();
+        for _ in 0..runs {
+            let lo = next() % bits;
+            set_run(&mut words, lo, (lo + next() % 300).min(bits));
+        }
+        let base = 64 * base;
+        let span = bits - cut;
+        for i in span..bits {
+            words[nwords - 1] &= !(1 << (i % 64));
+        }
+        if top {
+            set_run(&mut words, span - 1, span);
+        }
+        (words, base + span)
+    }
+
+    /// Densities from 1/1 to 1/1000, for [`word_set`].
+    const DENSITY_DENOMINATORS: [u64; 10] = [1, 2, 3, 4, 8, 16, 64, 128, 400, 1000];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn from_words_span_equals_from_sorted_directory_included(
+            shape in (0usize..10, 1usize..160, 0u64..4),
+            extras in ((any::<u64>(), 0u64..5), (0u64..64, any::<bool>()))
+        ) {
+            let (d, nwords, base) = shape;
+            let den = DENSITY_DENOMINATORS[d];
+            let (words, universe) = word_set(((den, nwords, base), extras.0, extras.1));
+            assert_words_encode_like_sorted(&words, 64 * base, universe);
+        }
     }
 
     proptest! {

@@ -1,6 +1,6 @@
 //! The simulated block device.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
@@ -506,12 +506,6 @@ impl<'a> DiskReader<'a> {
     /// The non-resident path of [`Self::word`]: reads through the buffer
     /// pool, keeping the current block pinned and moving the pin as the
     /// cursor crosses block boundaries.
-    ///
-    /// A fetch that fails after the session's transient-retry budget
-    /// raises a structured read abort: under a [`crate::catch_read`]
-    /// frame it becomes `Err(ReadError)` at the `try_query` boundary;
-    /// outside one it panics with the full message (the historical
-    /// behaviour of the infallible API).
     #[cold]
     fn pooled_word(&self, word_idx: u64) -> u64 {
         let pool = self
@@ -519,27 +513,35 @@ impl<'a> DiskReader<'a> {
             .expect("word index out of bounds on resident extent");
         let block = word_idx * 64 / self.block_bits;
         let word_in_block = (word_idx - block * (self.block_bits / 64)) as usize;
+        self.pin_block(pool, block).word(word_in_block)
+    }
+
+    /// Moves this reader's pin onto `block` (a no-op when it is already
+    /// there: one pin per block however many words are read from it) and
+    /// returns the pinned frame.
+    ///
+    /// A fetch that fails after the session's transient-retry budget
+    /// raises a structured read abort: under a [`crate::catch_read`]
+    /// frame it becomes `Err(ReadError)` at the `try_query` boundary;
+    /// outside one it panics with the full message (the historical
+    /// behaviour of the infallible API).
+    fn pin_block(&self, pool: &BufferPool, block: u64) -> RefMut<'_, PinnedBlock> {
         let mut pinned = self.pinned.borrow_mut();
-        match pinned.as_ref() {
-            Some((b, handle)) if *b == block => handle.word(word_in_block),
-            _ => {
-                if let Some((_, old)) = pinned.take() {
-                    pool.unpin(old);
+        if !matches!(pinned.as_ref(), Some((b, _)) if *b == block) {
+            if let Some((_, old)) = pinned.take() {
+                pool.unpin(old);
+            }
+            match crate::error::pin_retrying(pool, self.ext, block, self.session) {
+                Ok(handle) => *pinned = Some((block, handle)),
+                Err(e) => {
+                    // Release the borrow before unwinding: the reader's
+                    // Drop re-borrows `pinned` to unpin.
+                    drop(pinned);
+                    crate::error::abort_read(self.session, e)
                 }
-                let handle = match crate::error::pin_retrying(pool, self.ext, block, self.session) {
-                    Ok(handle) => handle,
-                    Err(e) => {
-                        // Release the borrow before unwinding: the
-                        // reader's Drop re-borrows `pinned` to unpin.
-                        drop(pinned);
-                        crate::error::abort_read(self.session, e)
-                    }
-                };
-                let word = handle.word(word_in_block);
-                *pinned = Some((block, handle));
-                word
             }
         }
+        RefMut::map(pinned, |p| &mut p.as_mut().expect("pinned above").1)
     }
 
     /// Current bit position.
@@ -597,6 +599,54 @@ impl<'a> DiskReader<'a> {
         value
     }
 
+    /// Reads the next `bits` bits into `out` as whole words, MSB-first:
+    /// appends `⌈bits/64⌉` words, the last one zero past `bits`. This is
+    /// the lift of a stored bitmap into memory. Block by block, each
+    /// block the span touches is charged once, in order, and on a pooled
+    /// reader pinned once (the pin moves as in [`Self::read_bits`]); its
+    /// word slice is copied shifted to the cursor's bit offset. The bits
+    /// are counted read once. Charges, pins and bits equal those of a
+    /// `read_bits(64)` loop over the same span.
+    ///
+    /// # Panics
+    /// Panics when reading past the end of the extent.
+    pub fn read_bulk(&mut self, bits: u64, out: &mut Vec<u64>) {
+        if bits == 0 {
+            return;
+        }
+        let end = self.pos + bits;
+        assert!(end <= self.bit_len, "read past end of extent");
+        let off = (self.pos % 64) as u32;
+        let (first, last) = (self.pos / 64, (end - 1) / 64);
+        let block_words = self.block_bits / 64;
+        let dst = out.len();
+        out.resize(dst + bits.div_ceil(64) as usize, 0);
+        let buf = &mut out[dst..];
+        let mut word = first;
+        while word <= last {
+            let block = word / block_words;
+            let stop = ((block + 1) * block_words).min(last + 1);
+            self.charge_word(word);
+            let base = (block * block_words) as usize;
+            let (lo, hi) = (word as usize, stop as usize);
+            let j = (word - first) as usize;
+            match self.pool {
+                None => shift_words(buf, j, &self.words[lo..hi], off),
+                Some(pool) => {
+                    let pinned = self.pin_block(pool, block);
+                    shift_words(buf, j, &pinned.words()[lo - base..hi - base], off);
+                }
+            }
+            word = stop;
+        }
+        let tail = (bits % 64) as u32;
+        if tail != 0 {
+            *out.last_mut().expect("bits > 0") &= !0u64 << (64 - tail);
+        }
+        self.pos = end;
+        self.session.add_bits_read(bits);
+    }
+
     /// Peeks at the next up-to-64 bits without consuming or charging:
     /// `(word, valid)` with the bits MSB-aligned and everything past
     /// `valid` zero. Pair with [`Self::consume_bits`], which performs the
@@ -623,9 +673,9 @@ impl<'a> DiskReader<'a> {
         // window sends codecs down the cursor path, whose charges are
         // identical to the peek/consume path by construction. That path
         // is slow per code, so dense cover merges do not decode through
-        // a pooled reader at all: they lift each slot with a word copy
-        // (`read_bits(64)`, one pin at a time) and batch-decode the copy
-        // in memory. Sparse streaming merges and directory seeks still
+        // a pooled reader at all: they lift each slot with a block copy
+        // (`read_bulk`, one pin at a time) and batch-decode the copy in
+        // memory. Sparse streaming merges and directory seeks still
         // take the cursor path here.
         let off = (self.pos % 64) as u32;
         match self.words.get((self.pos / 64) as usize) {
@@ -698,6 +748,26 @@ impl<'a> DiskReader<'a> {
             zeros += avail;
             self.pos += u64::from(avail);
             self.session.add_bits_read(u64::from(avail));
+        }
+    }
+}
+
+/// Stores the words `src` into `buf` from index `j` on, shifted left by
+/// `off < 64` bits: a word's first `off` bits (MSB-first) fill the tail
+/// of the previous output word, the rest start its own. At index 0 there
+/// is no previous word: those bits precede the span and are dropped.
+/// Past the end of `buf` there is no own word: a span's last source
+/// word may hold nothing but the tail of the last output word.
+#[inline]
+fn shift_words(buf: &mut [u64], j: usize, src: &[u64], off: u32) {
+    for (k, &s) in src.iter().enumerate() {
+        let i = j + k;
+        if i > 0 {
+            // `(s >> 1) >> (63 - off)` is `s >> (64 - off)`, and 0 at off 0.
+            buf[i - 1] |= (s >> 1) >> (63 - off);
+        }
+        if let Some(own) = buf.get_mut(i) {
+            *own = s << off;
         }
     }
 }
