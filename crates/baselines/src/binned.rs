@@ -8,7 +8,8 @@
 //! [`crate::MultiResolutionIndex`] applies recursively.
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_bits::{merge, GapBitmap};
+use psi_bits::merge::MergeStrategy;
+use psi_bits::stored;
 use psi_io::{Disk, IoConfig, IoSession};
 
 use crate::catalog::BitmapCatalog;
@@ -56,6 +57,52 @@ impl BinnedBitmapIndex {
     pub fn bin_width(&self) -> u32 {
         self.w
     }
+
+    /// [`SecondaryIndex::query`] with a multi-bitmap cover merge forced
+    /// to `strategy` — the differential oracle of the planned merge
+    /// (identical rows, identical I/O).
+    pub fn query_with_strategy(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        strategy: MergeStrategy,
+        io: &IoSession,
+    ) -> RidSet {
+        self.merge_cover(lo, hi, Some(strategy), io)
+    }
+
+    /// The union of `[lo, hi]`'s cover — whole bins plus the edge
+    /// characters — through the shared cover merge.
+    fn merge_cover(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        strategy: Option<MergeStrategy>,
+        io: &IoSession,
+    ) -> RidSet {
+        check_range(lo, hi, self.sigma);
+        let w = self.w;
+        let mut cover = Vec::new();
+        // A bin b (covering [b·w, b·w + w − 1] clamped to σ) is usable iff
+        // it lies entirely inside [lo, hi].
+        let mut c = lo;
+        while c <= hi {
+            let b = c / w;
+            let bin_lo = b * w;
+            let bin_hi = ((b + 1) * w - 1).min(self.sigma - 1);
+            if bin_lo >= lo && bin_hi <= hi && c == bin_lo {
+                cover.push(self.bins.bitmap(b as usize));
+                c = bin_hi + 1;
+            } else {
+                cover.push(self.chars.bitmap(c as usize));
+                c += 1;
+            }
+            if c == 0 {
+                break; // unreachable; guards overflow in release builds
+            }
+        }
+        RidSet::from_positions(stored::merge(&self.disk, &cover, io, self.n, strategy))
+    }
 }
 
 impl HasDisk for BinnedBitmapIndex {
@@ -78,53 +125,7 @@ impl SecondaryIndex for BinnedBitmapIndex {
     }
 
     fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-        check_range(lo, hi, self.sigma);
-        if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
-        }
-        let w = self.w;
-        let mut parts: Vec<(&BitmapCatalog, usize)> = Vec::new();
-        // A bin b (covering [b·w, b·w + w − 1] clamped to σ) is usable iff
-        // it lies entirely inside [lo, hi].
-        let mut c = lo;
-        while c <= hi {
-            let b = c / w;
-            let bin_lo = b * w;
-            let bin_hi = ((b + 1) * w - 1).min(self.sigma - 1);
-            if bin_lo >= lo && bin_hi <= hi && c == bin_lo {
-                parts.push((&self.bins, b as usize));
-                c = bin_hi + 1;
-            } else {
-                parts.push((&self.chars, c as usize));
-                c += 1;
-            }
-            if c == 0 {
-                break; // unreachable; guards overflow in release builds
-            }
-        }
-        // Single-bitmap covers (one bin, or one edge character) come back
-        // as a verbatim word copy of the stored stream.
-        parts.retain(|&(catalog, idx)| catalog.entry(idx).count > 0);
-        if parts.is_empty() {
-            return RidSet::from_positions(GapBitmap::empty(self.n));
-        }
-        if let [(catalog, idx)] = parts[..] {
-            return RidSet::from_positions(catalog.copy_bitmap_auto(&self.disk, idx, io));
-        }
-        // Density-planned merge over the cover's catalog metadata.
-        let (total, span) = merge::cover_stats(parts.iter().map(|&(catalog, idx)| {
-            let e = catalog.entry(idx);
-            (
-                e.count,
-                e.first_pos.expect("non-empty entry"),
-                e.last_pos.expect("non-empty entry"),
-            )
-        }));
-        let streams: Vec<_> = parts
-            .iter()
-            .map(|&(catalog, idx)| catalog.decoder(&self.disk, idx, io))
-            .collect();
-        RidSet::from_positions(merge::merge_adaptive(streams, self.n, total, span))
+        self.merge_cover(lo, hi, None, io)
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {

@@ -8,15 +8,13 @@
 //!
 //! Alongside the payload extent, a side extent persists one **skip
 //! directory** per bitmap ([`psi_bits::SKIP_SAMPLE`]-spaced samples; see
-//! `psi_bits::skip`): charged reads buy directory-assisted seeks
-//! ([`BitmapCatalog::seek_decoder`]) and indexed verbatim copies whose
-//! results gallop ([`BitmapCatalog::copy_bitmap_indexed`]).
+//! `psi_bits::skip`). The catalog defines no reader of its own: entry
+//! `idx` is handed out as a [`StoredBitmap`] ([`BitmapCatalog::bitmap`]),
+//! whose decoder, verbatim copies and cover merge ([`psi_bits::stored`])
+//! are the ones the paper's cut streams use too.
 
-use psi_bits::skip::{self, SkipDirectory, SkipEntry, SKIP_LIFT_MIN};
-use psi_bits::{BitBuf, GapBitmap, GapDecoder, GapEncoder, SKIP_ENTRY_BITS, SKIP_SAMPLE};
-use psi_io::{cost, Disk, DiskReader, ExtentId, IoSession};
-
-pub use psi_bits::skip::DIR_MIN_COUNT;
+use psi_bits::stored::{self, StoredBitmap};
+use psi_io::{cost, Disk, ExtentId, IoSession};
 
 /// Directory entry for one bitmap in a [`BitmapCatalog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,42 +58,22 @@ impl BitmapCatalog {
         let dir_ext = disk.alloc();
         let session = IoSession::untracked();
         let mut entries = Vec::new();
-        let mut directories: Vec<Vec<SkipEntry>> = Vec::new();
+        let mut directories = Vec::new();
         {
             let mut writer = disk.writer(ext, &session);
             for group in groups {
                 let bit_off = writer.pos();
-                let mut samples = Vec::new();
-                let mut first_pos = None;
-                let mut enc = GapEncoder::new(&mut writer);
-                for p in group {
-                    enc.push(p);
-                    if (enc.count() - 1).is_multiple_of(u64::from(SKIP_SAMPLE)) {
-                        samples.push(SkipEntry {
-                            pos: p,
-                            bit_off: enc.bit_pos() - bit_off,
-                            occ: SkipEntry::OCC_SELF,
-                        });
-                    } else if let Some(last) = samples.last_mut() {
-                        last.cover(p);
-                    }
-                    first_pos.get_or_insert(p);
-                }
-                let last_pos = enc.last();
-                let count = enc.finish();
-                if count < DIR_MIN_COUNT {
-                    samples.clear();
-                }
+                let enc = stored::encode(&mut writer, group);
                 entries.push(CatalogEntry {
                     bit_off,
-                    bit_len: writer.pos() - bit_off,
-                    count,
-                    first_pos,
-                    last_pos,
+                    bit_len: enc.len,
+                    count: enc.count,
+                    first_pos: enc.first_pos,
+                    last_pos: enc.last_pos,
                     dir_off: 0, // assigned below
-                    dir_entries: samples.len() as u64,
+                    dir_entries: enc.samples.len() as u64,
                 });
-                directories.push(samples);
+                directories.push(enc.samples);
             }
         }
         let mut dw = disk.writer(dir_ext, &session);
@@ -133,86 +111,20 @@ impl BitmapCatalog {
         &self.entries[idx]
     }
 
-    /// Streaming decoder for bitmap `idx`, charging `io`.
-    pub fn decoder<'a>(
-        &self,
-        disk: &'a Disk,
-        idx: usize,
-        io: &'a IoSession,
-    ) -> GapDecoder<DiskReader<'a>> {
+    /// Bitmap `idx` as a [`StoredBitmap`]: the descriptor every read of
+    /// it goes through.
+    pub fn bitmap(&self, idx: usize) -> StoredBitmap {
         let e = &self.entries[idx];
-        GapDecoder::new(disk.reader(self.ext, e.bit_off, io), e.count)
-    }
-
-    /// Lifts bitmap `idx` verbatim into a [`GapBitmap`], charging `io`.
-    /// Queries covered by a single stored bitmap return this word copy
-    /// instead of decoding and re-encoding the positions.
-    pub fn copy_bitmap(&self, disk: &Disk, idx: usize, io: &IoSession) -> GapBitmap {
-        let e = &self.entries[idx];
-        let mut r = disk.reader(self.ext, e.bit_off, io);
-        let mut bits = BitBuf::with_capacity(e.bit_len);
-        bits.extend_from_source(&mut r, e.bit_len);
-        GapBitmap::from_code_bits(bits, e.count, self.universe)
-    }
-
-    /// Reads bitmap `idx`'s persisted skip directory (sequential, charged).
-    pub fn read_directory(&self, disk: &Disk, idx: usize, io: &IoSession) -> SkipDirectory {
-        let e = &self.entries[idx];
-        let mut r = disk.reader(self.dir_ext, e.dir_off, io);
-        SkipDirectory::read_from_source(&mut r, SKIP_SAMPLE, e.dir_entries)
-    }
-
-    /// [`Self::copy_bitmap`] plus a lift of the persisted skip directory
-    /// (charged against the side extent): payload charges are identical,
-    /// the directory costs exactly its own blocks, and the returned
-    /// bitmap gallops without a decode pass.
-    pub fn copy_bitmap_indexed(&self, disk: &Disk, idx: usize, io: &IoSession) -> GapBitmap {
-        let e = &self.entries[idx];
-        let skip = self.read_directory(disk, idx, io);
-        let mut r = disk.reader(self.ext, e.bit_off, io);
-        let mut bits = BitBuf::with_capacity(e.bit_len);
-        bits.extend_from_source(&mut r, e.bit_len);
-        GapBitmap::from_code_bits_indexed(bits, e.count, self.universe, skip)
-    }
-
-    /// [`Self::copy_bitmap_indexed`] when the result is large enough for
-    /// galloping to repay the directory blocks ([`SKIP_LIFT_MIN`]), else
-    /// the plain verbatim copy.
-    pub fn copy_bitmap_auto(&self, disk: &Disk, idx: usize, io: &IoSession) -> GapBitmap {
-        if self.entries[idx].count >= SKIP_LIFT_MIN {
-            self.copy_bitmap_indexed(disk, idx, io)
-        } else {
-            self.copy_bitmap(disk, idx, io)
-        }
-    }
-
-    /// A decoder over bitmap `idx` fast-forwarded past every sampled
-    /// element below `min_pos`: a binary search over the persisted
-    /// directory (charging only the probed blocks) re-seats the decoder
-    /// at the latest sample with position `< min_pos`, so the skipped
-    /// stream prefix is never read. Returns the decoder plus the number
-    /// of skipped elements; the first up-to-`K − 1` decoded elements may
-    /// still be below `min_pos`.
-    pub fn seek_decoder<'a>(
-        &self,
-        disk: &'a Disk,
-        idx: usize,
-        io: &'a IoSession,
-        min_pos: u64,
-    ) -> (GapDecoder<DiskReader<'a>>, u64) {
-        let e = &self.entries[idx];
-        let mut r = disk.reader(self.dir_ext, e.dir_off, io);
-        let hit = skip::search_persisted(e.dir_entries, min_pos, |j| {
-            r.skip_to(e.dir_off + j * SKIP_ENTRY_BITS);
-            SkipEntry::read_from(&mut r)
-        });
-        match hit {
-            None => (self.decoder(disk, idx, io), 0),
-            Some((j, s)) => {
-                let rank = j * u64::from(SKIP_SAMPLE);
-                let src = disk.reader(self.ext, e.bit_off + s.bit_off, io);
-                (GapDecoder::resume(src, e.count - rank - 1, s.pos), rank + 1)
-            }
+        StoredBitmap {
+            ext: self.ext,
+            off: e.bit_off,
+            len: e.bit_len,
+            count: e.count,
+            first_pos: e.first_pos,
+            last_pos: e.last_pos,
+            dir_ext: self.dir_ext,
+            dir_off: e.dir_off,
+            dir_entries: e.dir_entries,
         }
     }
 
@@ -308,7 +220,7 @@ mod tests {
         assert_eq!(cat.len(), 3);
         let io = IoSession::untracked();
         for (i, g) in groups.iter().enumerate() {
-            let got: Vec<u64> = cat.decoder(&disk, i, &io).collect();
+            let got: Vec<u64> = cat.bitmap(i).decoder(&disk, &io).collect();
             assert_eq!(&got, g);
             assert_eq!(cat.entry(i).count as usize, g.len());
         }
@@ -323,89 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn copy_bitmap_is_verbatim_and_charged_like_decode() {
-        let mut disk = Disk::new(IoConfig::with_block_bits(256));
-        let groups = vec![vec![0u64, 5, 9], vec![2, 3, 4, 99]];
-        let cat = BitmapCatalog::build(&mut disk, 100, groups.clone());
-        for (i, g) in groups.iter().enumerate() {
-            let decode_io = IoSession::new();
-            let decoded: Vec<u64> = cat.decoder(&disk, i, &decode_io).collect();
-            let copy_io = IoSession::new();
-            let copied = cat.copy_bitmap(&disk, i, &copy_io);
-            assert_eq!(&decoded, g);
-            assert_eq!(copied.to_vec(), decoded);
-            assert_eq!(copied.universe(), 100);
-            assert_eq!(copied.size_bits(), cat.entry(i).bit_len);
-            assert_eq!(copy_io.stats().reads, decode_io.stats().reads);
-            assert_eq!(copy_io.stats().bits_read, decode_io.stats().bits_read);
-        }
-    }
-
-    #[test]
-    fn copy_bitmap_indexed_charges_payload_parity_plus_directory() {
-        let mut disk = Disk::new(IoConfig::with_block_bits(256));
-        let positions: Vec<u64> = (0..600u64).map(|i| i * 4).collect();
-        let cat = BitmapCatalog::build(&mut disk, 2400, vec![positions.clone()]);
-        let e = *cat.entry(0);
-        assert_eq!(e.dir_entries, 600u64.div_ceil(64));
-        assert_eq!((e.first_pos, e.last_pos), (Some(0), Some(2396)));
-        let plain_io = IoSession::new();
-        let plain = cat.copy_bitmap(&disk, 0, &plain_io);
-        let indexed_io = IoSession::new();
-        let indexed = cat.copy_bitmap_indexed(&disk, 0, &indexed_io);
-        assert_eq!(indexed, plain);
-        let dir_blocks = {
-            let b = 256;
-            (e.dir_off + e.dir_entries * SKIP_ENTRY_BITS - 1) / b - e.dir_off / b + 1
-        };
-        assert_eq!(
-            indexed_io.stats().reads,
-            plain_io.stats().reads + dir_blocks
-        );
-        assert_eq!(
-            indexed_io.stats().bits_read,
-            plain_io.stats().bits_read + e.dir_entries * SKIP_ENTRY_BITS
-        );
-        assert!(indexed.contains(2396) && !indexed.contains(2395));
-        assert_eq!(indexed.rank(1200), 300);
-    }
-
-    #[test]
-    fn seek_decoder_reads_strictly_fewer_blocks() {
-        let mut disk = Disk::new(IoConfig::with_block_bits(256));
-        let positions: Vec<u64> = (0..5000u64).map(|i| i * 3).collect();
-        let cat = BitmapCatalog::build(&mut disk, 15_001, vec![positions.clone()]);
-        let full_io = IoSession::new();
-        let full: Vec<u64> = cat.decoder(&disk, 0, &full_io).collect();
-        assert_eq!(full, positions);
-        let min_pos = 3 * 4800;
-        let seek_io = IoSession::new();
-        let (dec, skipped) = cat.seek_decoder(&disk, 0, &seek_io, min_pos);
-        assert!(skipped >= 4800 - u64::from(psi_bits::SKIP_SAMPLE) && skipped <= 4800);
-        let tail: Vec<u64> = dec.filter(|&p| p >= min_pos).collect();
-        assert_eq!(tail, positions[4800..]);
-        assert!(
-            seek_io.stats().reads < full_io.stats().reads,
-            "seek {} blocks vs full {}",
-            seek_io.stats().reads,
-            full_io.stats().reads
-        );
-        // Tiny bitmaps have no directory: the seek degenerates gracefully.
-        let tiny = BitmapCatalog::build(&mut disk, 100, vec![vec![7u64, 9]]);
-        let untracked = IoSession::untracked();
-        let (dec, skipped) = tiny.seek_decoder(&disk, 0, &untracked, 9);
-        assert_eq!(skipped, 0);
-        assert_eq!(dec.collect::<Vec<_>>(), vec![7, 9]);
-    }
-
-    #[test]
     fn decoding_charges_only_touched_blocks() {
         let mut disk = Disk::new(IoConfig::with_block_bits(128));
         // First group is large (spans blocks), second small.
         let big: Vec<u64> = (0..200).map(|i| i * 31).collect();
         let cat = BitmapCatalog::build(&mut disk, 10_000, vec![big, vec![1u64]]);
         let io = IoSession::new();
-        let _: Vec<u64> = cat.decoder(&disk, 1, &io).collect();
+        let _: Vec<u64> = cat.bitmap(1).decoder(&disk, &io).collect();
         // The small bitmap occupies one or two blocks at the tail.
         assert!(io.stats().reads <= 2, "reads = {}", io.stats().reads);
     }

@@ -9,7 +9,8 @@
 //! measures exactly this gap against the paper's structure.
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_bits::{merge, GapBitmap};
+use psi_bits::merge::MergeStrategy;
+use psi_bits::stored;
 use psi_io::{Disk, IoConfig, IoSession};
 
 use crate::catalog::BitmapCatalog;
@@ -44,6 +45,35 @@ impl CompressedScanIndex {
     pub fn payload_bits(&self) -> u64 {
         self.cat.payload_bits(&self.disk)
     }
+
+    /// [`SecondaryIndex::query`] with a multi-bitmap cover merge forced
+    /// to `strategy` — the differential oracle of the planned merge
+    /// (identical rows, identical I/O).
+    pub fn query_with_strategy(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        strategy: MergeStrategy,
+        io: &IoSession,
+    ) -> RidSet {
+        self.merge_chars(lo, hi, Some(strategy), io)
+    }
+
+    /// The union of the per-character bitmaps of `[lo, hi]` through the
+    /// shared cover merge: a point query (or a range with one occurring
+    /// character) is a verbatim copy, wider ranges are planned from the
+    /// in-memory catalog directory before any decode.
+    fn merge_chars(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        strategy: Option<MergeStrategy>,
+        io: &IoSession,
+    ) -> RidSet {
+        check_range(lo, hi, self.sigma);
+        let cover: Vec<_> = (lo..=hi).map(|c| self.cat.bitmap(c as usize)).collect();
+        RidSet::from_positions(stored::merge(&self.disk, &cover, io, self.n, strategy))
+    }
 }
 
 impl HasDisk for CompressedScanIndex {
@@ -66,35 +96,7 @@ impl SecondaryIndex for CompressedScanIndex {
     }
 
     fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-        check_range(lo, hi, self.sigma);
-        if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
-        }
-        // Point queries return the stored per-character bitmap as a
-        // verbatim word copy (with its skip directory when large enough
-        // to gallop over).
-        if lo == hi {
-            return RidSet::from_positions(self.cat.copy_bitmap_auto(&self.disk, lo as usize, io));
-        }
-        // Density-planned merge: counts and span come from the in-memory
-        // catalog directory, before any decode.
-        let chars: Vec<usize> = (lo..=hi)
-            .map(|c| c as usize)
-            .filter(|&c| self.cat.entry(c).count > 0)
-            .collect();
-        let (total, span) = merge::cover_stats(chars.iter().map(|&c| {
-            let e = self.cat.entry(c);
-            (
-                e.count,
-                e.first_pos.expect("non-empty entry"),
-                e.last_pos.expect("non-empty entry"),
-            )
-        }));
-        let decoders: Vec<_> = chars
-            .iter()
-            .map(|&c| self.cat.decoder(&self.disk, c, io))
-            .collect();
-        RidSet::from_positions(merge::merge_adaptive(decoders, self.n, total, span))
+        self.merge_chars(lo, hi, None, io)
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {

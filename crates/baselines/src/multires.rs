@@ -13,7 +13,7 @@
 //! array and complement trick on top).
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_bits::{merge, GapBitmap};
+use psi_bits::stored;
 use psi_io::{Disk, IoConfig, IoSession};
 
 use crate::catalog::BitmapCatalog;
@@ -134,35 +134,12 @@ impl SecondaryIndex for MultiResolutionIndex {
 
     fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
         check_range(lo, hi, self.sigma);
-        if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
-        }
-        let mut cover = self.canonical_cover(lo, hi);
-        cover.retain(|&(j, b)| self.levels[j].entry(b as usize).count > 0);
-        if cover.is_empty() {
-            return RidSet::from_positions(GapBitmap::empty(self.n));
-        }
-        // A one-bin cover (aligned ranges, single characters) is already
-        // stored in the output encoding: return the word copy directly.
-        if let [(j, b)] = cover[..] {
-            return RidSet::from_positions(
-                self.levels[j].copy_bitmap_auto(&self.disk, b as usize, io),
-            );
-        }
-        // Density-planned merge over the cover's catalog metadata.
-        let (total, span) = merge::cover_stats(cover.iter().map(|&(j, b)| {
-            let e = self.levels[j].entry(b as usize);
-            (
-                e.count,
-                e.first_pos.expect("non-empty entry"),
-                e.last_pos.expect("non-empty entry"),
-            )
-        }));
-        let streams: Vec<_> = cover
-            .iter()
-            .map(|&(j, b)| self.levels[j].decoder(&self.disk, b as usize, io))
+        let cover: Vec<_> = self
+            .canonical_cover(lo, hi)
+            .into_iter()
+            .map(|(j, b)| self.levels[j].bitmap(b as usize))
             .collect();
-        RidSet::from_positions(merge::merge_adaptive(streams, self.n, total, span))
+        RidSet::from_positions(stored::merge(&self.disk, &cover, io, self.n, None))
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {

@@ -3,7 +3,7 @@
 //! The full run times batch gamma decode in its three dispatch regimes
 //! (sparse and wide codes with the burst test compiled out, dense codes
 //! with it in; all dual-chain), the bitset re-encode (`from_words` at
-//! densities ¼ and ⅛), the pooled lift of dense slots (`copy_bitmap`
+//! densities ¼ and ⅛), the pooled lift of dense slots (`StoredBitmap::copy`
 //! through a warm pool) and the occupancy probe-skipping intersection
 //! against its forced-scalar arm. Along the way it asserts that the fast
 //! paths actually ran (kernel counters), that the re-encode equals a

@@ -2137,7 +2137,7 @@ pub fn e20() -> Vec<jsonout::JsonResult> {
 /// through whatever kernel dispatch picks — single or dual chain, burst
 /// test on or off — with `per_element_ns` carrying the headline number),
 /// `kernel/reencode_uniform{4,8}` (`GapBitmap::from_words` at densities
-/// ¼ and ⅛, per element), `kernel/lift_pooled` (`CutStream::copy_bitmap`
+/// ¼ and ⅛, per element), `kernel/lift_pooled` (`StoredBitmap::copy`
 /// of dense slots through a warm pool, per lifted word)
 /// and `kernel/intersect_probe_{skip,scalar}` (the same workload with
 /// occupancy skipping on vs. forced off via
@@ -2249,7 +2249,7 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
         );
     }
 
-    // --- pooled lift: `copy_bitmap` of 16 dense slots (density ¼, 2^16
+    // --- pooled lift: `StoredBitmap::copy` of 16 dense slots (density ¼, 2^16
     // positions each) out of a warm pool, as a dense cover merge lifts
     // them; `elements` counts the lifted 64-bit words.
     {
@@ -2282,7 +2282,7 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
             let io = IoSession::new();
             slots
                 .iter()
-                .map(|&i| cut.copy_bitmap(disk, i, &io, universe))
+                .map(|&i| cut.bitmap(i).copy(disk, &io, universe))
                 .collect()
         };
         assert_eq!(

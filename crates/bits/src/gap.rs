@@ -720,9 +720,8 @@ impl<S: BitSource> GapDecoder<S> {
 
     /// Resumes decoding mid-stream: `src` must sit just past the code of
     /// an element whose value was `prev`, with `remaining` codes left —
-    /// exactly what a [`crate::skip::SkipEntry`] records. This is the
-    /// directory-assisted seek: the skipped prefix is neither decoded nor
-    /// (for charged sources) read.
+    /// exactly what a [`crate::skip::SkipEntry`] records, so the skipped
+    /// prefix is never decoded.
     pub fn resume(src: S, remaining: u64, prev: u64) -> Self {
         crate::kernel::DECODE_SCALAR.add(1);
         GapDecoder {

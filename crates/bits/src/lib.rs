@@ -22,8 +22,11 @@
 //!   bitset-accumulate path for dense covers;
 //! * [`skip`] — skip directories: sampled `(position, bit offset,
 //!   occupancy word)` entries that make gap streams seekable, powering
-//!   galloping set operations, occupancy block-skipping and
-//!   directory-assisted decoder seeks;
+//!   galloping set operations and occupancy block-skipping;
+//! * [`stored`] — [`stored::StoredBitmap`], the descriptor-based reader
+//!   of gap-coded bitmaps kept on disk (decoder, verbatim block copy,
+//!   directory lift), their shared write loop, and the one cover merge
+//!   of every family that stores them;
 //! * [`kernel`] — kernel-path counters and switches (which decode /
 //!   intersect implementation actually ran);
 //! * [`entropy`] — empirical 0th-order entropy of symbol strings.
@@ -38,6 +41,7 @@ pub mod kernel;
 pub mod merge;
 mod plain;
 pub mod skip;
+pub mod stored;
 mod swar;
 
 pub use buf::{BitBuf, BitBufReader, BitWriter};

@@ -39,27 +39,14 @@ where
     })
 }
 
-/// Merges sorted streams directly into a [`GapBitmap`] over `universe`.
-pub fn merge_into_gap<I>(inputs: Vec<I>, universe: u64) -> GapBitmap
-where
-    I: Iterator<Item = u64>,
-{
-    GapBitmap::from_sorted_iter(merge_disjoint(inputs), universe)
-}
-
 /// How a k-way union is executed (chosen by [`plan`] from metadata known
 /// *before* any stream is decoded: fan-in, summed element counts, and the
 /// position span of the cover).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MergeStrategy {
-    /// No inputs: the empty bitmap.
-    Empty,
-    /// One input: encode straight through (callers with stored streams
-    /// short-circuit earlier to a verbatim copy).
-    Passthrough,
-    /// Two inputs: branch-per-element linear merge.
-    Linear,
-    /// Three or more sparse inputs: min-heap merge.
+    /// Stream every input through one [`KWayMerge`] (which picks its
+    /// one-input, two-input or min-heap form from the fan-in) and encode
+    /// the merged stream.
     Heap,
     /// Three or more inputs whose union is dense in its span: set bits in
     /// an LSB-first word array (no comparisons, no heap), then re-encode
@@ -81,8 +68,6 @@ pub const BITSET_MIN_TOTAL: u64 = 128;
 
 /// Folds a cover's per-member metadata `(count, first_pos, last_pos)` —
 /// non-empty members only — into the planner inputs `(total, span)`.
-/// Shared by every index that feeds slot/entry directories to
-/// [`merge_adaptive`].
 pub fn cover_stats<I: IntoIterator<Item = (u64, u64, u64)>>(
     members: I,
 ) -> (u64, Option<(u64, u64)>) {
@@ -100,19 +85,15 @@ pub fn cover_stats<I: IntoIterator<Item = (u64, u64, u64)>>(
 /// Picks the strategy for `streams` inputs totalling `total` elements
 /// within the inclusive position span `span` (when known).
 pub fn plan(streams: usize, total: u64, span: Option<(u64, u64)>) -> MergeStrategy {
-    match streams {
-        0 => MergeStrategy::Empty,
-        1 => MergeStrategy::Passthrough,
-        2 => MergeStrategy::Linear,
-        _ => match span {
-            Some((lo, hi))
-                if total >= BITSET_MIN_TOTAL
-                    && (hi - lo).saturating_add(1) <= total.saturating_mul(BITSET_MAX_AVG_GAP) =>
-            {
-                MergeStrategy::Bitset
-            }
-            _ => MergeStrategy::Heap,
-        },
+    match span {
+        Some((lo, hi))
+            if streams >= 3
+                && total >= BITSET_MIN_TOTAL
+                && (hi - lo).saturating_add(1) <= total.saturating_mul(BITSET_MAX_AVG_GAP) =>
+        {
+            MergeStrategy::Bitset
+        }
+        _ => MergeStrategy::Heap,
     }
 }
 
@@ -147,7 +128,6 @@ where
     I: Iterator<Item = u64>,
 {
     match strategy {
-        MergeStrategy::Empty => GapBitmap::empty(universe),
         MergeStrategy::Bitset => {
             let mut acc = SpanBitset::new(span.expect("bitset strategy requires a span"));
             for input in inputs {
@@ -155,7 +135,9 @@ where
             }
             acc.finish(universe)
         }
-        _ => GapBitmap::from_sorted_iter_sized(merge_disjoint(inputs), universe, total),
+        MergeStrategy::Heap => {
+            GapBitmap::from_sorted_iter_sized(merge_disjoint(inputs), universe, total)
+        }
     }
 }
 
@@ -396,19 +378,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_gap_builds_bitmap() {
-        let a = vec![10u64, 30];
-        let b = vec![20u64];
-        let g = merge_into_gap(vec![a.into_iter(), b.into_iter()], 100);
-        assert_eq!(g.to_vec(), vec![10, 20, 30]);
-        assert_eq!(g.universe(), 100);
-    }
-
-    #[test]
     fn plan_picks_by_fanin_and_density() {
-        assert_eq!(plan(0, 0, None), MergeStrategy::Empty);
-        assert_eq!(plan(1, 10, None), MergeStrategy::Passthrough);
-        assert_eq!(plan(2, 10_000, Some((0, 10_000))), MergeStrategy::Linear);
+        // Fewer than three streams always stream: dense or not.
+        assert_eq!(plan(0, 0, None), MergeStrategy::Heap);
+        assert_eq!(plan(2, 10_000, Some((0, 10_000))), MergeStrategy::Heap);
         // Dense: 8 streams, 10k elements across a 20k span.
         assert_eq!(plan(8, 10_000, Some((0, 19_999))), MergeStrategy::Bitset);
         // Sparse: same elements across a 10M span.

@@ -131,7 +131,9 @@ impl ApproximateIndex {
         let decoders: Vec<_> = slots
             .iter()
             .map(|&(cut, slot)| {
-                streams[cut as usize].decoder(self.engine.disk(), slot as usize, io)
+                streams[cut as usize]
+                    .bitmap(slot as usize)
+                    .decoder(self.engine.disk(), io)
             })
             .collect();
         // Hashed sets of disjoint position sets may collide: dedup.

@@ -12,20 +12,19 @@
 //! [`IoSession`].
 //!
 //! Each slot additionally persists a **skip directory** — one
-//! `(position, bit offset)` sample per [`SKIP_SAMPLE`] encoded elements —
-//! in a side extent, written at build/rebuild time and extended by
-//! appends. Directory reads are charged like any other read; they buy
-//! directory-assisted seeks ([`CutStream::seek_decoder`] reads only the
-//! probed directory blocks plus the stream blocks past the sample) and
-//! indexed verbatim copies ([`CutStream::copy_bitmap_indexed`] lifts the
-//! samples with the payload so the returned bitmap supports galloping set
-//! operations without a decode pass).
+//! `(position, bit offset, occupancy)` sample per [`psi_bits::SKIP_SAMPLE`]
+//! encoded elements — in a side extent, written at build/rebuild time
+//! and extended by appends. The cut defines no reader of its own: a live
+//! slot is handed out as a [`StoredBitmap`] ([`CutStream::bitmap`]),
+//! whose decoder, verbatim copies and cover merge ([`psi_bits::stored`])
+//! are the ones bitmap catalogs use too.
 
 use psi_api::RidSet;
-use psi_bits::merge::{self, MergeStrategy, SpanBitset};
-use psi_bits::skip::{self, SkipDirectory, SkipEntry};
-use psi_bits::{codes, BitBuf, GapBitmap, GapDecoder, SKIP_ENTRY_BITS, SKIP_SAMPLE};
-use psi_io::{Disk, DiskReader, ExtentId, IoSession};
+use psi_bits::merge::{self, MergeStrategy};
+use psi_bits::skip::{self, SkipEntry};
+use psi_bits::stored::{self, StoredBitmap};
+use psi_bits::{codes, SKIP_ENTRY_BITS, SKIP_SAMPLE};
+use psi_io::{Disk, ExtentId, IoSession};
 
 /// Allocation policy for slot slack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,46 +143,18 @@ impl CutStream {
     ) -> usize {
         let off = disk.extent_bits(self.ext);
         let mut w = disk.writer(self.ext, io);
-        let mut count = 0u64;
-        let mut first_pos = None;
-        let mut last_pos = None;
-        let mut samples: Vec<SkipEntry> = Vec::new();
-        for p in positions {
-            match last_pos {
-                None => codes::put_gamma(&mut w, p + 1),
-                Some(prev) => {
-                    assert!(p > prev, "positions must be strictly increasing");
-                    codes::put_gamma(&mut w, p - prev);
-                }
-            }
-            if count.is_multiple_of(u64::from(SKIP_SAMPLE)) {
-                samples.push(SkipEntry {
-                    pos: p,
-                    bit_off: w.pos() - off,
-                    occ: SkipEntry::OCC_SELF,
-                });
-            } else if let Some(last) = samples.last_mut() {
-                last.cover(p);
-            }
-            first_pos.get_or_insert(p);
-            last_pos = Some(p);
-            count += 1;
-        }
-        let len = w.pos() - off;
-        let cap = self.slack.cap_for(len);
-        if cap > len {
-            w.write_zeros(cap - len);
+        let enc = stored::encode(&mut w, positions);
+        let cap = self.slack.cap_for(enc.len);
+        if cap > enc.len {
+            w.write_zeros(cap - enc.len);
         }
         // Persist the skip directory in the side extent, with entry slack
-        // mirroring the payload's policy. Tiny slots skip it entirely.
-        if count < DIR_MIN_COUNT {
-            samples.clear();
-        }
+        // mirroring the payload's policy.
         let dir_off = disk.extent_bits(self.dir_ext);
-        let dir_entries = samples.len() as u64;
+        let dir_entries = enc.samples.len() as u64;
         let dir_cap = self.slack.dir_cap_for(dir_entries);
         let mut dw = disk.writer(self.dir_ext, io);
-        for e in &samples {
+        for e in &enc.samples {
             e.write_to(&mut dw);
         }
         if dir_cap > dir_entries {
@@ -191,11 +162,11 @@ impl CutStream {
         }
         self.slots.push(Slot {
             off,
-            len,
+            len: enc.len,
             cap,
-            count,
-            first_pos,
-            last_pos,
+            count: enc.count,
+            first_pos: enc.first_pos,
+            last_pos: enc.last_pos,
             dir_off,
             dir_entries,
             dir_cap,
@@ -270,108 +241,21 @@ impl CutStream {
         true
     }
 
-    /// Reads slot `idx`'s persisted skip directory (sequential, charged).
-    pub fn read_directory(&self, disk: &Disk, idx: usize, io: &IoSession) -> SkipDirectory {
+    /// Live slot `idx` as a [`StoredBitmap`]: the descriptor every read
+    /// of the slot goes through.
+    pub fn bitmap(&self, idx: usize) -> StoredBitmap {
         let slot = &self.slots[idx];
-        assert!(!slot.dead, "directory read of dead slot");
-        let mut r = disk.reader(self.dir_ext, slot.dir_off, io);
-        SkipDirectory::read_from_source(&mut r, SKIP_SAMPLE, slot.dir_entries)
-    }
-
-    /// A decoder over slot `idx` fast-forwarded past every sampled element
-    /// below `min_pos`: a binary search over the persisted directory
-    /// (charging only the probed blocks) re-seats the decoder at the
-    /// latest sample with position `< min_pos`, so the skipped prefix of
-    /// the stream is never read. Returns the decoder plus the number of
-    /// skipped elements; the first up-to-`K − 1` decoded elements may
-    /// still be below `min_pos`.
-    pub fn seek_decoder<'a>(
-        &self,
-        disk: &'a Disk,
-        idx: usize,
-        io: &'a IoSession,
-        min_pos: u64,
-    ) -> (GapDecoder<DiskReader<'a>>, u64) {
-        let slot = &self.slots[idx];
-        assert!(!slot.dead, "seek into dead slot");
-        let mut r = disk.reader(self.dir_ext, slot.dir_off, io);
-        let hit = skip::search_persisted(slot.dir_entries, min_pos, |j| {
-            r.skip_to(slot.dir_off + j * SKIP_ENTRY_BITS);
-            SkipEntry::read_from(&mut r)
-        });
-        match hit {
-            None => (self.decoder(disk, idx, io), 0),
-            Some((j, e)) => {
-                let rank = j * u64::from(SKIP_SAMPLE);
-                let src = disk.reader(self.ext, slot.off + e.bit_off, io);
-                (
-                    GapDecoder::resume(src, slot.count - rank - 1, e.pos),
-                    rank + 1,
-                )
-            }
-        }
-    }
-
-    /// Streaming decoder over slot `idx`, charging `io`.
-    pub fn decoder<'a>(
-        &self,
-        disk: &'a Disk,
-        idx: usize,
-        io: &'a IoSession,
-    ) -> GapDecoder<DiskReader<'a>> {
-        let slot = &self.slots[idx];
-        assert!(!slot.dead, "decode of dead slot");
-        GapDecoder::new(disk.reader(self.ext, slot.off, io), slot.count)
-    }
-
-    /// Lifts slot `idx` verbatim into a [`GapBitmap`] over `universe`,
-    /// charging `io` for the bits read. A query whose canonical cover is a
-    /// single stored bitmap already holds its answer in the exact output
-    /// encoding, so this replaces decode-merge-reencode with a word copy.
-    pub fn copy_bitmap(&self, disk: &Disk, idx: usize, io: &IoSession, universe: u64) -> GapBitmap {
-        let slot = &self.slots[idx];
-        assert!(!slot.dead, "copy of dead slot");
-        let mut r = disk.reader(self.ext, slot.off, io);
-        let mut bits = BitBuf::with_capacity(slot.len);
-        bits.extend_from_source(&mut r, slot.len);
-        GapBitmap::from_code_bits(bits, slot.count, universe)
-    }
-
-    /// [`Self::copy_bitmap`] plus a lift of the persisted skip directory
-    /// (charged against the side extent), so the returned bitmap answers
-    /// membership/rank/select and gallops in `O(lg(z/K) + K)` without a
-    /// decode pass. Payload charges are identical to [`Self::copy_bitmap`];
-    /// the directory costs exactly its own blocks on top.
-    pub fn copy_bitmap_indexed(
-        &self,
-        disk: &Disk,
-        idx: usize,
-        io: &IoSession,
-        universe: u64,
-    ) -> GapBitmap {
-        let slot = &self.slots[idx];
-        assert!(!slot.dead, "copy of dead slot");
-        let skip = self.read_directory(disk, idx, io);
-        let mut r = disk.reader(self.ext, slot.off, io);
-        let mut bits = BitBuf::with_capacity(slot.len);
-        bits.extend_from_source(&mut r, slot.len);
-        GapBitmap::from_code_bits_indexed(bits, slot.count, universe, skip)
-    }
-
-    /// [`Self::copy_bitmap_indexed`] when the result is large enough for
-    /// galloping to repay the directory blocks
-    /// ([`psi_bits::skip::SKIP_LIFT_MIN`]), else the plain verbatim copy.
-    pub fn copy_bitmap_auto(
-        &self,
-        disk: &Disk,
-        idx: usize,
-        io: &IoSession,
-        universe: u64,
-    ) -> GapBitmap {
-        if self.slots[idx].count >= skip::SKIP_LIFT_MIN {
-            self.copy_bitmap_indexed(disk, idx, io, universe)
-        } else {
-            self.copy_bitmap(disk, idx, io, universe)
+        assert!(!slot.dead, "read of dead slot");
+        StoredBitmap {
+            ext: self.ext,
+            off: slot.off,
+            len: slot.len,
+            count: slot.count,
+            first_pos: slot.first_pos,
+            last_pos: slot.last_pos,
+            dir_ext: self.dir_ext,
+            dir_off: slot.dir_off,
+            dir_entries: slot.dir_entries,
         }
     }
 
@@ -419,16 +303,16 @@ impl CutStream {
 /// any bitmap bit is read: their union is the answer or, for results
 /// larger than `n/2`, its complement (§2.1's trick).
 #[derive(Debug, Default)]
-pub(crate) struct Cover<'a> {
-    /// `(cut, slot index)` pairs; empty slots allowed. No slots at all is
+pub(crate) struct Cover {
+    /// The slots' descriptors; empty slots allowed. No slots at all is
     /// the empty answer.
-    pub(crate) slots: Vec<(&'a CutStream, usize)>,
+    pub(crate) slots: Vec<StoredBitmap>,
     /// Whether the slots' union is the complement of the answer.
     pub(crate) complemented: bool,
 }
 
-impl Cover<'_> {
-    /// The answer, compressed: the union through [`merge_slots`],
+impl Cover {
+    /// The answer, compressed: the union through [`stored::merge`],
     /// `strategy` forcing the plan of a multi-slot merge.
     pub(crate) fn query(
         &self,
@@ -437,7 +321,7 @@ impl Cover<'_> {
         universe: u64,
         strategy: Option<MergeStrategy>,
     ) -> RidSet {
-        let union = merge_slots(disk, &self.slots, io, universe, strategy);
+        let union = stored::merge(disk, &self.slots, io, universe, strategy);
         if self.complemented {
             RidSet::from_complement(union)
         } else {
@@ -447,7 +331,7 @@ impl Cover<'_> {
 
     /// The answer in `words`, a zeroed full-universe word array
     /// ([`merge::universe_words`]`(universe)` long): every slot goes
-    /// through [`lift_slots`] and its positions are ORed in, with no
+    /// through [`stored::lift`] and its positions are ORed in, with no
     /// encode at all; a complemented union is then inverted within
     /// `universe`. The same slots are lifted, so the charges equal
     /// [`Self::query`]'s under any plan.
@@ -458,115 +342,12 @@ impl Cover<'_> {
         universe: u64,
         words: &mut [u64],
     ) {
-        lift_slots(disk, &non_empty(&self.slots), io, universe, |positions| {
+        stored::lift(disk, &self.slots, io, universe, |positions| {
             merge::or_positions(words, 0, positions.iter().copied())
         });
         if self.complemented {
             merge::invert_within(words, universe);
         }
-    }
-}
-
-/// Merges the bitmaps stored in a cover's slots — `(cut, slot index)`
-/// pairs over `disk`, empty slots allowed — into one bitmap over
-/// `universe`, charging `io`: the cover merge of both cut-stream
-/// families (`Engine`, `UniformTreeIndex`).
-///
-/// The execution is planned from slot metadata alone (counts and
-/// first/last positions, known before any stream bit is read):
-/// * one non-empty slot is already the answer in the output encoding: a
-///   verbatim word copy, with the persisted skip directory lifted along
-///   once the result is large enough to gallop over;
-/// * dense covers ([`MergeStrategy::Bitset`], the complement trick's
-///   usual shape) go through [`lift_slots`] into a [`SpanBitset`] and
-///   re-encode once;
-/// * sparse covers ([`MergeStrategy::Linear`], [`MergeStrategy::Heap`])
-///   stream through one decoder per slot, in bounded memory.
-///
-/// Both paths read every payload bit of every slot exactly once, so the
-/// blocks and bits charged are identical whatever the plan. `strategy`
-/// forces the plan of a multi-slot cover (the forced-[`MergeStrategy::Heap`]
-/// replay is the differential oracle of the other arms); `None` lets
-/// [`merge::plan`] pick.
-pub(crate) fn merge_slots(
-    disk: &Disk,
-    cover: &[(&CutStream, usize)],
-    io: &IoSession,
-    universe: u64,
-    strategy: Option<MergeStrategy>,
-) -> GapBitmap {
-    let cover = non_empty(cover);
-    match cover[..] {
-        [] => return GapBitmap::empty(universe),
-        [(cut, idx)] => return cut.copy_bitmap_auto(disk, idx, io, universe),
-        _ => {}
-    }
-    let (total, span) = merge::cover_stats(cover.iter().map(|&(cut, idx)| {
-        let s = cut.slot(idx);
-        (
-            s.count,
-            s.first_pos.expect("non-empty slot"),
-            s.last_pos.expect("non-empty slot"),
-        )
-    }));
-    match strategy.unwrap_or_else(|| merge::plan(cover.len(), total, span)) {
-        MergeStrategy::Bitset => {
-            let mut acc = SpanBitset::new(span.expect("non-empty cover"));
-            lift_slots(disk, &cover, io, universe, |positions| {
-                acc.extend(positions.iter().copied())
-            });
-            acc.finish(universe)
-        }
-        strategy => {
-            let decoders = cover
-                .iter()
-                .map(|&(cut, idx)| cut.decoder(disk, idx, io))
-                .collect();
-            merge::merge_with_strategy(decoders, universe, total, span, strategy)
-        }
-    }
-}
-
-/// The cover without its empty slots, which contribute nothing and would
-/// poison the span.
-fn non_empty<'c>(cover: &[(&'c CutStream, usize)]) -> Vec<(&'c CutStream, usize)> {
-    cover
-        .iter()
-        .copied()
-        .filter(|&(cut, idx)| cut.slot(idx).count > 0)
-        .collect()
-}
-
-/// The one lift loop of the dense paths: each non-empty slot of `cover`
-/// in turn is copied verbatim — [`CutStream::copy_bitmap_auto`] when it is
-/// the whole cover, else [`CutStream::copy_bitmap`] — batch-decoded with
-/// the word kernel ([`GapBitmap::decode_all`]) into one reused buffer, and
-/// handed to `sink`. One copy at a time, so one pin at a time on a pooled
-/// disk.
-///
-/// The word path ([`Cover::query_words`]) never gallops, so it has no use
-/// for a single slot's skip directory; it still reads it, through
-/// `copy_bitmap_auto`, only so that its charges equal the single-slot
-/// answer of [`merge_slots`] block for block (the I/O-parity contract
-/// the replay tests assert across combine strategies).
-fn lift_slots(
-    disk: &Disk,
-    cover: &[(&CutStream, usize)],
-    io: &IoSession,
-    universe: u64,
-    mut sink: impl FnMut(&[u64]),
-) {
-    let mut positions = Vec::new();
-    for &(cut, idx) in cover {
-        // The copy's reader (and its pin) is gone before the next slot is
-        // read.
-        let bitmap = if cover.len() == 1 {
-            cut.copy_bitmap_auto(disk, idx, io, universe)
-        } else {
-            cut.copy_bitmap(disk, idx, io, universe)
-        };
-        bitmap.decode_all(&mut positions);
-        sink(&positions);
     }
 }
 
@@ -678,10 +459,13 @@ mod tests {
         let a = cut.push_bitmap(&mut disk, vec![0u64, 3, 10], &io);
         let b = cut.push_bitmap(&mut disk, vec![5u64], &io);
         assert_eq!(
-            cut.decoder(&disk, a, &io).collect::<Vec<_>>(),
+            cut.bitmap(a).decoder(&disk, &io).collect::<Vec<_>>(),
             vec![0, 3, 10]
         );
-        assert_eq!(cut.decoder(&disk, b, &io).collect::<Vec<_>>(), vec![5]);
+        assert_eq!(
+            cut.bitmap(b).decoder(&disk, &io).collect::<Vec<_>>(),
+            vec![5]
+        );
     }
 
     #[test]
@@ -703,7 +487,7 @@ mod tests {
         assert!(cut.append_position(&mut disk, a, 20, &io));
         assert!(cut.append_position(&mut disk, a, 21, &io));
         assert_eq!(
-            cut.decoder(&disk, a, &io).collect::<Vec<_>>(),
+            cut.bitmap(a).decoder(&disk, &io).collect::<Vec<_>>(),
             vec![10, 20, 21]
         );
         assert_eq!(cut.slot(a).count, 3);
@@ -715,7 +499,10 @@ mod tests {
         let mut cut = CutStream::new(&mut disk, 2, Slack::Proportional);
         let a = cut.push_bitmap(&mut disk, Vec::<u64>::new(), &io);
         assert!(cut.append_position(&mut disk, a, 7, &io));
-        assert_eq!(cut.decoder(&disk, a, &io).collect::<Vec<_>>(), vec![7]);
+        assert_eq!(
+            cut.bitmap(a).decoder(&disk, &io).collect::<Vec<_>>(),
+            vec![7]
+        );
     }
 
     #[test]
@@ -725,7 +512,10 @@ mod tests {
         let a = cut.push_bitmap(&mut disk, vec![1u64], &io);
         assert!(!cut.append_position(&mut disk, a, 1000, &io));
         // Slot unchanged.
-        assert_eq!(cut.decoder(&disk, a, &io).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(
+            cut.bitmap(a).decoder(&disk, &io).collect::<Vec<_>>(),
+            vec![1]
+        );
     }
 
     #[test]
@@ -742,91 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_bitmap_is_verbatim_and_charged_like_decode() {
-        let (mut disk, io) = setup();
-        let mut cut = CutStream::new(&mut disk, 1, Slack::None);
-        let positions: Vec<u64> = (0..200u64).map(|i| i * 7).collect();
-        let a = cut.push_bitmap(&mut disk, positions.iter().copied(), &io);
-        let decode_io = IoSession::new();
-        let decoded: Vec<u64> = cut.decoder(&disk, a, &decode_io).collect();
-        let copy_io = IoSession::new();
-        let copied = cut.copy_bitmap(&disk, a, &copy_io, 1400);
-        assert_eq!(copied.to_vec(), decoded);
-        assert_eq!(copied.count(), 200);
-        assert_eq!(copied.universe(), 1400);
-        assert_eq!(copied.size_bits(), cut.slot(a).len);
-        // The copy reads the same stream, so it charges the same blocks.
-        assert_eq!(copy_io.stats().reads, decode_io.stats().reads);
-        assert_eq!(copy_io.stats().bits_read, decode_io.stats().bits_read);
-    }
-
-    #[test]
-    fn copy_bitmap_indexed_charges_payload_parity_plus_directory() {
-        let (mut disk, io) = setup();
-        let mut cut = CutStream::new(&mut disk, 1, Slack::None);
-        let positions: Vec<u64> = (0..500u64).map(|i| i * 3).collect();
-        let a = cut.push_bitmap(&mut disk, positions.iter().copied(), &io);
-        let plain_io = IoSession::new();
-        let plain = cut.copy_bitmap(&disk, a, &plain_io, 1500);
-        let indexed_io = IoSession::new();
-        let indexed = cut.copy_bitmap_indexed(&disk, a, &indexed_io, 1500);
-        assert_eq!(indexed, plain);
-        // Payload parity: the extra charges are exactly the directory's
-        // blocks and bits, nothing else.
-        let slot = cut.slot(a);
-        let dir_blocks = {
-            let b = 256; // block bits of setup()
-            let first = slot.dir_off / b;
-            let last = (slot.dir_off + slot.dir_cap * SKIP_ENTRY_BITS - 1) / b;
-            last - first + 1
-        };
-        assert_eq!(
-            indexed_io.stats().reads,
-            plain_io.stats().reads + dir_blocks
-        );
-        assert_eq!(
-            indexed_io.stats().bits_read,
-            plain_io.stats().bits_read + slot.dir_entries * SKIP_ENTRY_BITS
-        );
-        // The lifted directory gallops without further decoding.
-        assert!(indexed.contains(3 * 499) && !indexed.contains(3 * 499 - 1));
-        assert_eq!(indexed.rank(750), 250);
-        assert_eq!(indexed.select(499), Some(1497));
-    }
-
-    #[test]
-    fn seek_decoder_reads_strictly_fewer_blocks() {
-        let mut disk = Disk::new(IoConfig::with_block_bits(256));
-        let io = IoSession::untracked();
-        let mut cut = CutStream::new(&mut disk, 1, Slack::None);
-        let positions: Vec<u64> = (0..4000u64).map(|i| i * 5).collect();
-        let a = cut.push_bitmap(&mut disk, positions.iter().copied(), &io);
-        // Full decode charges every payload block.
-        let full_io = IoSession::new();
-        let full: Vec<u64> = cut.decoder(&disk, a, &full_io).collect();
-        assert_eq!(full, positions);
-        // Directory-assisted seek into the tail: decode only elements
-        // ≥ min_pos (after filtering the sample run-in).
-        let min_pos = 5 * 3900;
-        let seek_io = IoSession::new();
-        let (dec, skipped) = cut.seek_decoder(&disk, a, &seek_io, min_pos);
-        assert!(skipped >= 3900 - u64::from(SKIP_SAMPLE) && skipped <= 3900);
-        let tail: Vec<u64> = dec.filter(|&p| p >= min_pos).collect();
-        assert_eq!(tail, positions[3900..]);
-        assert!(
-            seek_io.stats().reads < full_io.stats().reads,
-            "seek {} blocks vs full {}",
-            seek_io.stats().reads,
-            full_io.stats().reads
-        );
-        assert!(seek_io.stats().bits_read < full_io.stats().bits_read);
-        // Seeking below the first element degenerates to the full stream.
-        let (dec, skipped) = cut.seek_decoder(&disk, a, &io, 0);
-        assert_eq!(skipped, 0);
-        assert_eq!(dec.count(), 4000);
-    }
-
-    #[test]
     fn appends_extend_the_persisted_directory() {
         let (mut disk, io) = setup();
         let mut cut = CutStream::new(&mut disk, 1, Slack::Proportional);
@@ -840,11 +545,11 @@ mod tests {
         assert_eq!(slot.count, 210);
         assert_eq!(slot.dir_entries, 4);
         assert_eq!(slot.first_pos, Some(0));
-        let dir = cut.read_directory(&disk, a, &io);
+        // The lifted directory agrees with the stream.
+        let copied = cut.bitmap(a).copy_indexed(&disk, &io, 4096);
+        let dir = copied.skip_dir();
         assert_eq!(dir.len(), 4);
         assert_eq!(dir.entries()[3].pos, 400 + 12); // element index 192
-                                                    // The lifted directory agrees with the stream.
-        let copied = cut.copy_bitmap_indexed(&disk, a, &io, 4096);
         assert_eq!(copied.to_vec().len(), 210);
         assert!(copied.contains(358) && !copied.contains(359)); // pushed evens
         assert!(copied.contains(429) && !copied.contains(430)); // appended run
@@ -859,7 +564,7 @@ mod tests {
         assert_eq!((slot.dir_entries, slot.dir_cap), (0, 0));
         // The indexed copy still works: an empty directory means every
         // operation takes the linear path.
-        let copied = cut.copy_bitmap_indexed(&disk, a, &io, 1000);
+        let copied = cut.bitmap(a).copy_indexed(&disk, &io, 1000);
         assert_eq!(copied.count(), DIR_MIN_COUNT - 1);
         assert!(copied.contains(5));
     }
@@ -887,7 +592,7 @@ mod tests {
             slot.count
         );
         assert_eq!(slot.dir_entries, cap);
-        let copied = cut.copy_bitmap_indexed(&disk, a, &io, next + 1);
+        let copied = cut.bitmap(a).copy_indexed(&disk, &io, next + 1);
         assert_eq!(copied.count(), slot.count);
         // Operations past the last sample fall back to linear decode.
         assert_eq!(copied.select(slot.count - 1), Some(next - 1));

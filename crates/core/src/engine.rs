@@ -366,7 +366,7 @@ impl Engine {
     /// (§2.1's complement trick) they cover the two complementary index
     /// ranges instead. Decomposing charges the tree descent; no bitmap bit
     /// is read yet.
-    fn cover(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Cover<'_> {
+    fn cover(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Cover {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
             return Cover::default();
@@ -397,7 +397,7 @@ impl Engine {
         Cover {
             slots: slots
                 .iter()
-                .map(|&(cut, slot)| (&self.cuts[cut as usize], slot as usize))
+                .map(|&(cut, slot)| self.cuts[cut as usize].bitmap(slot as usize))
                 .collect(),
             complemented,
         }
@@ -536,7 +536,8 @@ impl Engine {
         for (leaf, ch, _w) in &leaves {
             let (cut, slot) = self.node_slot[*leaf as usize].expect("leaf without slot");
             let positions: Vec<u64> = self.cuts[cut as usize]
-                .decoder(&self.disk, slot as usize, io)
+                .bitmap(slot as usize)
+                .decoder(&self.disk, io)
                 .collect();
             if chars.last() == Some(ch) {
                 lists.last_mut().expect("list").extend(positions);
@@ -643,7 +644,10 @@ impl Engine {
         for (leaf, ich, _) in tree.leaves_under(tree.root()) {
             let (cut, slot) = self.node_slot[leaf as usize].expect("leaf without slot");
             let orig = orig_of[ich as usize];
-            for p in self.cuts[cut as usize].decoder(&self.disk, slot as usize, io) {
+            for p in self.cuts[cut as usize]
+                .bitmap(slot as usize)
+                .decoder(&self.disk, io)
+            {
                 syms[p as usize] = orig;
             }
         }
@@ -758,7 +762,8 @@ impl Engine {
     /// Decodes one slot's positions (charged).
     pub(crate) fn slot_positions(&self, cut: u32, slot: u32, io: &IoSession) -> Vec<u64> {
         self.cuts[cut as usize]
-            .decoder(&self.disk, slot as usize, io)
+            .bitmap(slot as usize)
+            .decoder(&self.disk, io)
             .collect()
     }
 }

@@ -150,7 +150,7 @@ impl UniformTreeIndex {
 
     /// The slots of the maximal subtrees covering `[lo, hi]` — or, for
     /// results larger than `n/2`, the two complementary ranges (§2.1).
-    fn cover(&self, lo: Symbol, hi: Symbol) -> Cover<'_> {
+    fn cover(&self, lo: Symbol, hi: Symbol) -> Cover {
         check_range(lo, hi, self.sigma);
         let z = self.cardinality(lo, hi);
         if z == 0 {
@@ -171,7 +171,7 @@ impl UniformTreeIndex {
         Cover {
             slots: subtrees
                 .iter()
-                .map(|&(level, idx)| (&self.levels[level], idx as usize))
+                .map(|&(level, idx)| self.levels[level].bitmap(idx as usize))
                 .collect(),
             complemented,
         }

@@ -3,9 +3,12 @@
 //! A dense multi-slot cover (every wide range, and every range answered
 //! by §2.1's complement trick) lifts each stored slot out of the buffer
 //! pool with one verbatim copy and decodes it with the batch kernel.
-//! Pinned here, for `OptimalIndex` and `UniformTreeIndex` reopened from a
-//! File-backed store with verified fetches over a pool of about 1/8 of
-//! their payload blocks (so queries miss and evict):
+//! The cut-stream families and the bitmap-catalog families share that
+//! one cover merge (`psi_bits::stored::merge`). Pinned here, for
+//! `OptimalIndex`, `UniformTreeIndex`, `CompressedScanIndex` and
+//! `BinnedBitmapIndex` reopened from a File-backed store with verified
+//! fetches over a pool of about 1/8 of their payload blocks (so queries
+//! miss and evict):
 //!
 //! * rows equal `naive_query`;
 //! * the charged `IoStats` equal a forced-`Heap` replay of the same query
@@ -21,6 +24,7 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use psi::baselines::{BinnedBitmapIndex, CompressedScanIndex};
 use psi::bits::kernel;
 use psi::bits::merge::MergeStrategy;
 use psi::io::ExtentId;
@@ -80,7 +84,14 @@ fn kernels() -> (u64, u64, u64) {
     )
 }
 
-fn lift_parity<I: PersistIndex + SecondaryIndex + HasDisk>(built: &I, forced: Forced<I>) {
+/// `complements`: whether the family answers large results through
+/// §2.1's complement trick (the cut-stream families do, the catalog
+/// families never).
+fn lift_parity<I: PersistIndex + SecondaryIndex + HasDisk>(
+    built: &I,
+    forced: Forced<I>,
+    complements: bool,
+) {
     let data = symbols();
     let path = store_path(I::TAG);
     psi::store::save(built, &path).expect("save");
@@ -139,11 +150,15 @@ fn lift_parity<I: PersistIndex + SecondaryIndex + HasDisk>(built: &I, forced: Fo
         "{}: the pool must be small enough to evict",
         I::TAG
     );
-    assert!(
-        (1..dense_ranges().len() as u32).contains(&complemented),
-        "{}: both direct and complement-trick ranges",
-        I::TAG
-    );
+    if complements {
+        assert!(
+            (1..dense_ranges().len() as u32).contains(&complemented),
+            "{}: both direct and complement-trick ranges",
+            I::TAG
+        );
+    } else {
+        assert_eq!(complemented, 0, "{}: no complement trick", I::TAG);
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -154,11 +169,23 @@ fn config() -> IoConfig {
 #[test]
 fn optimal_pooled_lift_matches_naive_and_forced_heap() {
     let built = OptimalIndex::build(&symbols(), SIGMA, config());
-    lift_parity(&built, OptimalIndex::query_with_strategy);
+    lift_parity(&built, OptimalIndex::query_with_strategy, true);
 }
 
 #[test]
 fn uniform_tree_pooled_lift_matches_naive_and_forced_heap() {
     let built = UniformTreeIndex::build(&symbols(), SIGMA, config());
-    lift_parity(&built, UniformTreeIndex::query_with_strategy);
+    lift_parity(&built, UniformTreeIndex::query_with_strategy, true);
+}
+
+#[test]
+fn compressed_scan_pooled_lift_matches_naive_and_forced_heap() {
+    let built = CompressedScanIndex::build(&symbols(), SIGMA, config());
+    lift_parity(&built, CompressedScanIndex::query_with_strategy, false);
+}
+
+#[test]
+fn binned_pooled_lift_matches_naive_and_forced_heap() {
+    let built = BinnedBitmapIndex::build(&symbols(), SIGMA, 8, config());
+    lift_parity(&built, BinnedBitmapIndex::query_with_strategy, false);
 }
